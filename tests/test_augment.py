@@ -332,3 +332,21 @@ class TestCompareCorpora:
         assert ev.word_count > 10_000
         assert ev.sentence_count > 1_000
         assert len(ev.reports) == 8
+
+    @pytest.mark.parametrize("n_words, n_scales", [(66, 1), (70, 2)])
+    def test_short_corpus_mandelbrot_detail(self, n_words, n_scales):
+        # with the spectrum requested its failure wins over the conformity fit's
+        words = ["alpha", "beta", "gamma", "delta"]
+        doc = Document(id="d", text=" ".join(words[i % 4] for i in range(n_words)))
+        expected = {
+            True: f"mandelbrot: {n_scales} scales, need 3",
+            False: f"mandelbrot: {n_scales} positive points, need 3",
+        }
+        for with_spectrum, detail in expected.items():
+            ev = evaluate_corpus([doc], with_spectrum=with_spectrum)
+            mandelbrot = ev.reports[-1]
+            assert (mandelbrot.law, mandelbrot.fittable) == ("mandelbrot", False)
+            assert mandelbrot.detail == detail
+            assert ev.spectrum is None
+        scored = score_instance(doc)
+        assert scored.law_reports[-1].detail == expected[False]

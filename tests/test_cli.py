@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -56,6 +57,45 @@ class TestAnalyze:
         assert len(q_files) >= 3  # one per surviving q
         header = (out_dir / "zipf.csv").read_text().splitlines()[0]
         assert header == "x,y,fitted"
+
+
+def tree_sha256(*paths) -> str:
+    """One digest over the bytes of every file under ``paths``, by sorted name."""
+    h = hashlib.sha256()
+    for path in paths:
+        files = [path] if path.is_file() else sorted(p for p in path.rglob("*") if p.is_file())
+        for f in files:
+            h.update(f.name.encode("utf-8") + b"\0" + f.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+class TestOutputsPinned:
+    """Analyze and compare outputs on the shared synthetic books, pinned
+    byte-for-byte. The digests were taken with NumPy 2.4 on x86-64; another
+    platform's libm or LAPACK may move the last digit of a float."""
+
+    @pytest.fixture
+    def books(self, book_a, book_b, tmp_path):
+        paths = []
+        for doc in (book_a, book_b):
+            path = tmp_path / f"{doc.id}.jsonl"
+            path.write_text(json.dumps({"id": doc.id, "text": doc.text}) + "\n", encoding="utf-8")
+            paths.append(path)
+        return paths
+
+    def test_analyze_report_and_series_csv(self, books, tmp_path):
+        out, csv_dir = tmp_path / "report.json", tmp_path / "csv"
+        assert run(["analyze", books[0], "--out", out, "--series-csv", csv_dir]) == 0
+        assert tree_sha256(out, csv_dir) == ANALYZE_SHA256
+
+    def test_compare_report_and_grid(self, books, tmp_path):
+        out, grid = tmp_path / "comparison.json", tmp_path / "grid.csv"
+        assert run(["compare", *books, "--out", out, "--csv", grid]) == 0
+        assert tree_sha256(out, grid) == COMPARE_SHA256
+
+
+ANALYZE_SHA256 = "a048e2f3137e5d0f45917bd0e19f3e2c7ce34ad16de70ba406eef50e71cda79c"
+COMPARE_SHA256 = "f12ba2fffca0a943096dc45145c46ffa9d355fc5e7eb8fd3096efa3fe5347cd2"
 
 
 class TestCompare:
