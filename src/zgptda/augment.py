@@ -19,17 +19,18 @@ import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
 
 from .corpus import Document, tokenize
 from .fitkit import EmpiricalSeries, NotFittable
-from .laws import HILBERG_MAX_BLOCK, TAYLOR_SEGMENT_LEN, LawReport, evaluate_all
+from .laws import HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport, evaluate_all
 from .mfdfa import (
     DEFAULT_Q_GRID,
     EmbeddingProvider,
+    FluctuationMatrix,
     HashedTrigramEmbedder,
     MultifractalSpectrum,
     build_series,
@@ -61,6 +62,7 @@ __all__ = [
     "select_augmented",
     "AugmentationRun",
     "run_augmentation",
+    "atomic_write_text",
     "emit_dataset",
     "CorpusEvaluation",
     "evaluate_corpus",
@@ -76,7 +78,10 @@ DEFAULT_PROMPT = (
 
 API_KEY_ENV = "ZGPTDA_API_KEY"
 
-ALL_LAWS = ("zipf", "heaps", "taylor", "hilberg", "ebeling", "menzerath", "benford", "mandelbrot")
+ALL_LAWS = LAW_NAMES + ("mandelbrot",)
+
+# the multifractal law is scored by its conformity row h(2)
+Q_REF = 2.0
 
 
 @dataclass
@@ -98,6 +103,13 @@ class GenerationConfig:
             raise ValueError("top_fraction must be in (0, 1]")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
+        # kept a string so the config hash stays stable; parsed on every request
+        try:
+            temperature = float(self.temperature)
+        except (TypeError, ValueError):
+            temperature = math.nan
+        if not 0.0 <= temperature < math.inf:
+            raise ValueError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
 
     def sha256(self) -> str:
         blob = json.dumps(self.__dict__, sort_keys=True, ensure_ascii=False)
@@ -262,7 +274,10 @@ class LiveTransport(Transport):
                 continue
             if resp.status_code != 200:
                 raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
-            return self._extract(resp.json())
+            try:
+                return self._extract(resp.json())
+            except ValueError as exc:
+                raise TransportError(f"HTTP 200 body is not JSON: {resp.text[:200]!r}") from exc
         raise TransportError(f"transport exhausted after {self.max_retries + 1} attempts") from last_error
 
     @staticmethod
@@ -368,26 +383,29 @@ class ScoredInstance:
 _FALLBACK_EMBEDDER = HashedTrigramEmbedder()
 
 
-def _mandelbrot_report(doc: Document, embedder: EmbeddingProvider, q_ref: float) -> LawReport:
+def _unfittable_mandelbrot(exc: NotFittable) -> LawReport:
+    return LawReport(law="mandelbrot", series=None, fit=None, fittable=False, detail=str(exc))
+
+
+def _mandelbrot_report(
+    doc: Document, embedder: EmbeddingProvider, q_grid, m: int
+) -> tuple[LawReport, FluctuationMatrix | None]:
+    """The multifractal law's conformity fit on F_{Q_REF}(s), plus F_q(s)
+    over ``q_grid`` (which must hold Q_REF); the matrix is None when the
+    text is too short to compute it."""
+    fluct = None
     try:
         series = build_series(doc, embedder)
-        scales = default_scales(len(series))
-        fluct = fluctuation(profile(series), scales, np.array([q_ref]))
-        fit = mandelbrot_conformity(fluct, q_ref)
+        fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
+        fit = mandelbrot_conformity(fluct, Q_REF)
     except NotFittable as exc:
-        return LawReport(law="mandelbrot", series=None, fit=None, fittable=False, detail=str(exc))
-    emp = EmpiricalSeries(scales.astype(float), fluct.values[0], law="mandelbrot")
-    return LawReport(law="mandelbrot", series=emp, fit=fit, fittable=True)
+        return _unfittable_mandelbrot(exc), fluct
+    row = fluct.values[np.isclose(fluct.q_grid, Q_REF)][0]
+    emp = EmpiricalSeries(fluct.scales.astype(float), row, law="mandelbrot")
+    return LawReport(law="mandelbrot", series=emp, fit=fit, fittable=True), fluct
 
 
-def score_instance(
-    instance: Document,
-    *,
-    embedder: EmbeddingProvider | None = None,
-    segment_len: int = TAYLOR_SEGMENT_LEN,
-    max_block: int = HILBERG_MAX_BLOCK,
-    q_ref: float = 2.0,
-) -> ScoredInstance:
+def score_instance(instance: Document, *, embedder: EmbeddingProvider | None = None) -> ScoredInstance:
     """Fit all eight laws on one instance and attach its suitability.
 
     Unfittable laws are excluded from the aggregation (the Z-number mean
@@ -395,8 +413,9 @@ def score_instance(
     with zero fittable laws is flagged ``no_signal`` and scored 0.
     """
     ts = tokenize(instance)
-    reports = evaluate_all(ts, segment_len=segment_len, max_block=max_block)
-    reports.append(_mandelbrot_report(instance, embedder or _FALLBACK_EMBEDDER, q_ref))
+    reports = evaluate_all(ts)
+    mandelbrot, _ = _mandelbrot_report(instance, embedder or _FALLBACK_EMBEDDER, (Q_REF,), m=1)
+    reports.append(mandelbrot)
     vectors = [law_vector(r.fit.metrics) for r in reports if r.fittable]
     excluded = [r.law for r in reports if not r.fittable]
     try:
@@ -490,6 +509,20 @@ def run_augmentation(
     return runs, None
 
 
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file and a rename, so a
+    failure leaves no partial file behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def emit_dataset(raws: list[Document], runs: list[AugmentationRun], path) -> int:
     """Write the concatenated training set: every raw example followed by
     every selected instance.
@@ -522,16 +555,7 @@ def emit_dataset(raws: list[Document], runs: list[AugmentationRun], path) -> int
     if len(ids) != len(set(ids)):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise ValueError(f"duplicate output ids: {dupes[:5]}")
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec, ensure_ascii=False) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write_text(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
     return len(records)
 
 
@@ -556,37 +580,30 @@ def evaluate_corpus(
     segment_len: int = TAYLOR_SEGMENT_LEN,
     max_block: int = HILBERG_MAX_BLOCK,
     with_spectrum: bool = False,
-    q_ref: float = 2.0,
     detrend_order: int = 1,
 ) -> CorpusEvaluation:
     """Concatenate a corpus and evaluate all eight laws on the whole.
 
     ``with_spectrum`` additionally runs the full multifractal analysis over
-    the default q grid (the conformity fit alone only needs q = q_ref).
+    the default q grid (the conformity fit alone only needs q = Q_REF); when
+    the spectrum cannot be computed the multifractal law is unfittable.
     """
     if not docs:
         raise ValueError("corpus is empty")
     merged = Document(id=name, text="\n".join(d.text for d in docs))
     ts = tokenize(merged)
     reports = evaluate_all(ts, segment_len=segment_len, max_block=max_block)
+    q_grid = DEFAULT_Q_GRID if with_spectrum else (Q_REF,)
+    mandelbrot, fluct = _mandelbrot_report(
+        merged, embedder or _FALLBACK_EMBEDDER, q_grid, m=detrend_order
+    )
     spec = None
-    provider = embedder or _FALLBACK_EMBEDDER
-    if with_spectrum:
+    if with_spectrum and fluct is not None:
         try:
-            series = build_series(merged, provider)
-            scales = default_scales(len(series))
-            fluct = fluctuation(profile(series), scales, DEFAULT_Q_GRID, m=detrend_order)
             spec = spectrum(fluct)
-            fit = mandelbrot_conformity(fluct, q_ref)
-            idx = int(np.where(np.isclose(fluct.q_grid, q_ref))[0][0])
-            emp = EmpiricalSeries(scales.astype(float), fluct.values[idx], law="mandelbrot")
-            reports.append(LawReport(law="mandelbrot", series=emp, fit=fit, fittable=True))
         except NotFittable as exc:
-            reports.append(
-                LawReport(law="mandelbrot", series=None, fit=None, fittable=False, detail=str(exc))
-            )
-    else:
-        reports.append(_mandelbrot_report(merged, provider, q_ref))
+            mandelbrot = _unfittable_mandelbrot(exc)
+    reports.append(mandelbrot)
     return CorpusEvaluation(
         name=name,
         n_documents=len(docs),
@@ -599,29 +616,17 @@ def evaluate_corpus(
 
 
 def _report_cell(report: LawReport) -> dict:
-    cell: dict = {"fittable": report.fittable}
-    if report.fit is not None:
-        fit = report.fit
-        cell.update({
-            "exponent": fit.exponent,
-            "secondary_exponent": fit.secondary_exponent,
-            "prefactor": fit.prefactor,
-            "metrics": {
-                "r2": fit.metrics.r2,
-                "kl": fit.metrics.kl,
-                "js": fit.metrics.js,
-                "mape": fit.metrics.mape,
-            },
-            "verdict": {
-                "r2_ok": fit.verdict.r2_ok,
-                "kl_ok": fit.verdict.kl_ok,
-                "js_ok": fit.verdict.js_ok,
-                "mape_ok": fit.verdict.mape_ok,
-            },
-        })
-    else:
-        cell["detail"] = report.detail
-    return cell
+    fit = report.fit
+    if fit is None:
+        return {"fittable": report.fittable, "detail": report.detail}
+    return {
+        "fittable": report.fittable,
+        "exponent": fit.exponent,
+        "secondary_exponent": fit.secondary_exponent,
+        "prefactor": fit.prefactor,
+        "metrics": asdict(fit.metrics),
+        "verdict": asdict(fit.verdict),
+    }
 
 
 def corpus_report_dict(ev: CorpusEvaluation) -> dict:

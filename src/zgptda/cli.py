@@ -4,7 +4,7 @@ Every command writes a run manifest next to its primary output (command,
 full config snapshot, input hashes, tool version, seed, wall-clock), so runs
 with deterministic transports and providers are reproducible byte-exactly.
 
-Exit codes: 0 success, 1 input error, 2 transport/provider failure.
+Exit codes: 0 success, 1 input or usage error, 2 transport/provider failure.
 """
 
 import argparse
@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
@@ -26,6 +27,7 @@ from .augment import (
     RecordingTransport,
     ReplayTransport,
     TransportError,
+    atomic_write_text,
     compare_corpora,
     corpus_report_dict,
     emit_dataset,
@@ -52,29 +54,15 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _atomic_write_text(path, text: str):
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _json_default(obj):
     # numpy scalars and arrays leak into reports from the numerics layer
     if hasattr(obj, "tolist"):
         return obj.tolist()
-    if hasattr(obj, "item"):
-        return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
 def _write_json(path, obj):
-    _atomic_write_text(
+    atomic_write_text(
         path,
         json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True, default=_json_default) + "\n",
     )
@@ -111,20 +99,23 @@ def _series_csv(ev, out_dir):
         lines = ["x,y,fitted"]
         for x, y, f in zip(report.series.x, report.series.y, fitted):
             lines.append(f"{float(x)},{float(y)},{float(f) if f != '' else ''}")
-        _atomic_write_text(os.path.join(out_dir, f"{report.law}.csv"), "\n".join(lines) + "\n")
+        atomic_write_text(os.path.join(out_dir, f"{report.law}.csv"), "\n".join(lines) + "\n")
     if ev.spectrum is not None:
         s = ev.spectrum
         for i, q in enumerate(s.q_grid):
             lines = ["s,F"]
             for scale, value in zip(s.scales, s.fluctuation[i]):
                 lines.append(f"{int(scale)},{float(value)}")
-            _atomic_write_text(
+            atomic_write_text(
                 os.path.join(out_dir, f"fq_q{float(q):+.1f}.csv"), "\n".join(lines) + "\n"
             )
 
 
 def cmd_analyze(args) -> int:
     started = time.time()
+    # checked here rather than by argparse so that --config values are checked too
+    if args.detrend_order not in (1, 2, 3):
+        raise ValueError(f"--detrend-order must be 1, 2 or 3, got {args.detrend_order!r}")
     docs = load_jsonl(args.input)
     if not docs:
         print(f"error: {args.input} contains no documents", file=sys.stderr)
@@ -201,7 +192,7 @@ def _comparison_csv(report: dict, path):
                 )
             else:
                 lines.append(f"{law},{name},,,,,,")
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _scores_payload(runs, cfg: GenerationConfig) -> dict:
@@ -217,17 +208,7 @@ def _scores_payload(runs, cfg: GenerationConfig) -> dict:
                 "no_signal": item.no_signal,
                 "excluded_laws": item.excluded_laws,
                 "laws": {
-                    r.law: (
-                        {
-                            "r2": r.fit.metrics.r2,
-                            "kl": r.fit.metrics.kl,
-                            "js": r.fit.metrics.js,
-                            "mape": r.fit.metrics.mape,
-                            "exponent": r.fit.exponent,
-                        }
-                        if r.fittable
-                        else None
-                    )
+                    r.law: {**asdict(r.fit.metrics), "exponent": r.fit.exponent} if r.fittable else None
                     for r in item.law_reports
                 },
             }
@@ -316,11 +297,14 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: list[argparse.ArgumentParser] = []
 
-    def common_law_flags(p):
+    def law_flags(p):
         p.add_argument("--segment-len", type=int, default=TAYLOR_SEGMENT_LEN,
                        help="segment length in words for the count-variance law")
         p.add_argument("--max-block", type=int, default=HILBERG_MAX_BLOCK,
                        help="largest block size for the block-entropy law")
+        common_flags(p)
+
+    def common_flags(p):
         p.add_argument("--embeddings",
                        help="JSONL file of precomputed unit vectors (default: built-in hashed embedder)")
         p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
@@ -331,7 +315,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p_analyze.add_argument("--series-csv", help="directory for per-law series and F_q(s) CSV dumps")
     p_analyze.add_argument("--detrend-order", type=int, default=1,
                            help="polynomial order for fluctuation detrending (1..3)")
-    common_law_flags(p_analyze)
+    law_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_compare = sub.add_parser("compare", help="side-by-side law grid for two corpora")
@@ -339,7 +323,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p_compare.add_argument("corpus_b", help="second JSONL dataset")
     p_compare.add_argument("--out", default="comparison.json", help="report path")
     p_compare.add_argument("--csv", help="also write the metric grid as CSV")
-    common_law_flags(p_compare)
+    law_flags(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
     p_augment = sub.add_parser("augment", help="generate, score, and select paraphrase instances")
@@ -359,7 +343,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p_augment.add_argument("--max-in-flight", type=int, default=4)
     p_augment.add_argument("--keep-partial", action="store_true",
                            help="keep partial outputs when the transport fails")
-    common_law_flags(p_augment)
+    common_flags(p_augment)
     p_augment.set_defaults(func=cmd_augment)
     subparsers.extend([p_analyze, p_compare, p_augment])
 
@@ -372,7 +356,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     return parser
 
 
-def main(argv=None) -> int:
+def _parse_args(argv) -> argparse.Namespace:
     # a config file provides defaults; explicit flags still win
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
@@ -384,9 +368,17 @@ def main(argv=None) -> int:
                 config_defaults = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {known.config}: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    parser = build_parser(config_defaults)
-    args = parser.parse_args(argv)
+            raise SystemExit(EXIT_INPUT) from exc
+    return build_parser(config_defaults).parse_args(argv)
+
+
+def main(argv=None) -> int:
+    try:
+        args = _parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code reserved for transport
+        # failures; --help and --version exit 0
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (LoadError, FileNotFoundError, ValueError) as exc:

@@ -60,11 +60,15 @@ class ProviderError(Exception):
 
 
 class EmbeddingProvider:
-    """Deterministic mapping from text units to fixed-dimension vectors."""
+    """Deterministic mapping from text units to fixed-dimension vectors.
+
+    The pipeline calls :meth:`unit_vectors` once per document. A provider
+    either implements :meth:`embed` for one unit, which the default
+    :meth:`unit_vectors` calls per unit, or overrides :meth:`unit_vectors`.
+    """
 
     provider_id: str = "abstract"
     dimension: int = 0
-    concurrency_safe: bool = False
 
     def embed(self, text_unit: str) -> np.ndarray:
         raise NotImplementedError
@@ -92,7 +96,6 @@ class HashedTrigramEmbedder(EmbeddingProvider):
 
     provider_id = "fallback-trigram-64"
     dimension = 64
-    concurrency_safe = True
 
     def __init__(self):
         self._bucket_cache: dict[bytes, int] = {}
@@ -130,8 +133,6 @@ class FileVectorEmbedder(EmbeddingProvider):
     cover unit indices 0..n-1.
     """
 
-    concurrency_safe = True
-
     def __init__(self, path):
         self.provider_id = f"file:{path}"
         self._vectors: dict[tuple[str, int], np.ndarray] = {}
@@ -155,9 +156,6 @@ class FileVectorEmbedder(EmbeddingProvider):
                         f"{path}: line {lineno}: vector dimension {vec.size} != {self.dimension}"
                     )
                 self._vectors[key] = vec
-
-    def embed(self, text_unit: str) -> np.ndarray:
-        raise ProviderError(f"{self.provider_id}: vectors are resolved per document unit index")
 
     def unit_vectors(self, doc: Document, units: list[str]) -> np.ndarray:
         vectors = np.empty((len(units), self.dimension))

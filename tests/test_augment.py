@@ -76,6 +76,10 @@ class TestConfig:
             GenerationConfig(top_fraction=0.0)
         with pytest.raises(ValueError):
             GenerationConfig(top_fraction=1.0001)
+        for temperature in ("hot", "", "-0.1", "nan", "inf", None):
+            with pytest.raises(ValueError, match="temperature"):
+                GenerationConfig(temperature=temperature)
+        assert GenerationConfig(temperature="0").temperature == "0"
 
     def test_hash_stable(self):
         assert GenerationConfig(seed=1).sha256() == GenerationConfig(seed=1).sha256()

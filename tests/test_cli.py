@@ -215,6 +215,73 @@ class TestAugment:
         ]) == 1
         assert "n_instances" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "abc"],
+        ["--segment-len", "50"],
+        ["--max-block", "3"],
+        ["--transport", "carrier-pigeon"],
+        ["--temperature", "warm"],
+    ])
+    def test_usage_error_exit_1(self, dataset, tmp_path, flags):
+        out = tmp_path / "a.jsonl"
+        assert run(["augment", dataset, *flags, "--out", out, "--scores", tmp_path / "s.json"]) == 1
+        assert not out.exists()
+
+    @pytest.fixture
+    def non_json_200(self, monkeypatch):
+        """Every POST answers HTTP 200 with an HTML body; nothing leaves the process."""
+        import requests
+
+        class Response:
+            status_code = 200
+            text = "<html>gateway</html>"
+
+            def json(self):
+                raise requests.exceptions.JSONDecodeError("Expecting value", self.text, 0)
+
+        calls = []
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: calls.append(a) or Response())
+        return calls
+
+    def test_non_json_body_is_transport_failure(self, dataset, tmp_path, non_json_200):
+        out = tmp_path / "a.jsonl"
+        argv = ["augment", dataset, "--transport", "live", "--endpoint", "http://localhost:9/v1",
+                "--n", "2", "--out", out, "--scores", tmp_path / "s.json"]
+        assert run(argv) == 2
+        assert not out.exists()
+        assert run([*argv, "--keep-partial"]) == 2
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["origin"] for r in records] == ["raw"] * 4
+        assert len(non_json_200) == 4  # one attempt per slot per run: not retried
+
+
+class TestUsage:
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_0(self, flag, capsys):
+        assert run([flag]) == 0
+        assert "zgptda" in capsys.readouterr().out
+
+    def test_missing_command_exit_1(self, capsys):
+        assert run([]) == 1
+
+    def test_unreadable_config_exit_1(self, tmp_path, capsys):
+        assert run(["--config", tmp_path / "nope.json", "analyze", "x.jsonl"]) == 1
+        assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("order", ["0", "4", "-1"])
+    def test_detrend_order_checked_before_loading(self, tmp_path, order, capsys):
+        # the input does not exist: the order is rejected before any corpus work
+        out = tmp_path / "r.json"
+        assert run(["analyze", tmp_path / "nope.jsonl", "--out", out, "--detrend-order", order]) == 1
+        assert "--detrend-order" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_detrend_order_from_config_checked(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"detrend_order": 0}), encoding="utf-8")
+        assert run(["--config", cfg, "analyze", dataset, "--out", tmp_path / "r.json"]) == 1
+        assert "--detrend-order" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_provides_defaults(self, dataset, tmp_path):

@@ -36,7 +36,6 @@ def cascade_h_analytic(q, p=0.3):
 class ConstantProvider(EmbeddingProvider):
     provider_id = "constant"
     dimension = 4
-    concurrency_safe = True
 
     def __init__(self, vector=(1.0, 2.0, 3.0, 6.0)):
         self.vector = np.asarray(vector, dtype=float)
