@@ -297,17 +297,17 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers: list[argparse.ArgumentParser] = []
 
+    def common_flags(p):
+        p.add_argument("--embeddings",
+                       help="JSONL file of precomputed unit vectors (default: built-in hashed embedder)")
+        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+
     def law_flags(p):
         p.add_argument("--segment-len", type=int, default=TAYLOR_SEGMENT_LEN,
                        help="segment length in words for the count-variance law")
         p.add_argument("--max-block", type=int, default=HILBERG_MAX_BLOCK,
                        help="largest block size for the block-entropy law")
         common_flags(p)
-
-    def common_flags(p):
-        p.add_argument("--embeddings",
-                       help="JSONL file of precomputed unit vectors (default: built-in hashed embedder)")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
     p_analyze = sub.add_parser("analyze", help="evaluate all eight laws on one corpus")
     p_analyze.add_argument("input", help="JSONL dataset")
