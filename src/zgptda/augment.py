@@ -313,11 +313,10 @@ class RecordingTransport(Transport):
     def dump(self, path) -> int:
         """Write the captured completions, ordered by request then slot."""
         entries = sorted(self._records.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-        with open(path, "w", encoding="utf-8") as fh:
-            for (h, _slot), completion in entries:
-                fh.write(json.dumps(
-                    {"request_hash": h, "completion": completion}, ensure_ascii=False
-                ) + "\n")
+        atomic_write_text(path, "".join(
+            json.dumps({"request_hash": h, "completion": completion}, ensure_ascii=False) + "\n"
+            for (h, _slot), completion in entries
+        ))
         return len(entries)
 
 

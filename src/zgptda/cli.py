@@ -113,9 +113,6 @@ def _series_csv(ev, out_dir):
 
 def cmd_analyze(args) -> int:
     started = time.time()
-    # checked here rather than by argparse so that --config values are checked too
-    if args.detrend_order not in (1, 2, 3):
-        raise ValueError(f"--detrend-order must be 1, 2 or 3, got {args.detrend_order!r}")
     docs = load_jsonl(args.input)
     if not docs:
         print(f"error: {args.input} contains no documents", file=sys.stderr)
@@ -313,7 +310,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p_analyze.add_argument("input", help="JSONL dataset")
     p_analyze.add_argument("--out", default="report.json", help="report path")
     p_analyze.add_argument("--series-csv", help="directory for per-law series and F_q(s) CSV dumps")
-    p_analyze.add_argument("--detrend-order", type=int, default=1,
+    p_analyze.add_argument("--detrend-order", type=int, choices=(1, 2, 3), default=1,
                            help="polynomial order for fluctuation detrending (1..3)")
     law_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
@@ -349,10 +346,19 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     if config_defaults:
         # defaults must land on the subparsers: argparse resolves subcommand
-        # arguments against the subparser's own defaults
+        # arguments against the subparser's own defaults, without checking
+        # them, so each value is converted and checked as its flag's would be
         for sp in subparsers:
-            dests = {action.dest for action in sp._actions}
-            sp.set_defaults(**{k: v for k, v in config_defaults.items() if k in dests})
+            for action in (a for a in sp._actions if a.dest in config_defaults):
+                value = config_defaults[action.dest]
+                try:
+                    if action.type is not None:
+                        value = sp._get_value(action, str(value))
+                    sp._check_value(action, value)
+                except argparse.ArgumentError as exc:
+                    print(f"error: --config: {exc}", file=sys.stderr)
+                    raise SystemExit(EXIT_INPUT) from exc
+                sp.set_defaults(**{action.dest: value})
     return parser
 
 

@@ -13,6 +13,9 @@ Tokenization rules (fixed so every downstream statistic is reproducible):
 import json
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "Document",
@@ -54,6 +57,12 @@ class TokenStream:
     words: list[str] = field(default_factory=list)
     sentences: list[int] = field(default_factory=list)
     chars: str = ""
+
+    @cached_property
+    def codes(self) -> np.ndarray:
+        """One int64 code per word, word types numbered 0, 1, ... by first occurrence."""
+        index: dict[str, int] = {}
+        return np.fromiter((index.setdefault(w, len(index)) for w in self.words), np.int64)
 
 
 def word_tokens(text: str) -> list[str]:

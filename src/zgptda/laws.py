@@ -9,7 +9,6 @@ regression, so callers can always report *why* a law was unavailable.
 """
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,16 +49,12 @@ class LawReport:
 
 
 def zipf_series(ts: TokenStream) -> EmpiricalSeries:
-    """Rank-frequency series: x = 1..V by descending frequency, y = f(r).
-
-    Ties are broken by first occurrence, which `Counter` preserves.
-    """
+    """Rank-frequency series: x = 1..V by descending frequency, y = f(r)."""
     if not ts.words:
         raise NotFittable("zipf: no word tokens")
-    counts = Counter(ts.words)
-    freqs = sorted(counts.values(), reverse=True)
+    freqs = np.sort(np.bincount(ts.codes))[::-1]
     ranks = np.arange(1, len(freqs) + 1, dtype=float)
-    return EmpiricalSeries(ranks, np.array(freqs, dtype=float), law="zipf")
+    return EmpiricalSeries(ranks, freqs.astype(float), law="zipf")
 
 
 def heaps_series(ts: TokenStream) -> EmpiricalSeries:
@@ -72,17 +67,10 @@ def heaps_series(ts: TokenStream) -> EmpiricalSeries:
     if n == 0:
         raise NotFittable("heaps: no word tokens")
     stride = max(1, math.ceil(n / HEAPS_TARGET_POINTS))
-    seen: set[str] = set()
-    xs: list[int] = []
-    ys: list[int] = []
-    for i, w in enumerate(ts.words, start=1):
-        seen.add(w)
-        if i % stride == 0 or i == n:
-            if xs and xs[-1] == i:
-                continue
-            xs.append(i)
-            ys.append(len(seen))
-    return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="heaps")
+    xs = np.unique(np.append(np.arange(stride, n + 1, stride), n))
+    # types are coded by first occurrence: i tokens hold max(codes[:i]) + 1 types
+    ys = np.maximum.accumulate(ts.codes)[xs - 1] + 1
+    return EmpiricalSeries(xs.astype(float), ys.astype(float), law="heaps")
 
 
 def taylor_series(ts: TokenStream, segment_len: int = TAYLOR_SEGMENT_LEN) -> EmpiricalSeries:
@@ -99,20 +87,15 @@ def taylor_series(ts: TokenStream, segment_len: int = TAYLOR_SEGMENT_LEN) -> Emp
     n_segments = len(ts.words) // segment_len
     if n_segments < 3:
         raise NotFittable(f"taylor: {n_segments} full segments, need 3")
-    per_segment = [
-        Counter(ts.words[i * segment_len : (i + 1) * segment_len]) for i in range(n_segments)
-    ]
-    presence: Counter = Counter()
-    for seg in per_segment:
-        presence.update(seg.keys())
+    codes = ts.codes[: n_segments * segment_len]
+    # type x segment counts; a count is at most segment_len, so a narrow dtype holds it
+    table = np.zeros((int(codes.max()) + 1, n_segments), dtype=np.min_scalar_type(segment_len))
+    np.add.at(table, (codes, np.arange(codes.size) // segment_len), 1)
     by_mean: dict[float, list[float]] = {}
-    for word, n_present in presence.items():
-        if n_present < 2:
-            continue
-        counts = np.array([seg.get(word, 0) for seg in per_segment], dtype=float)
-        rho = float(counts.mean())
-        sigma = float(counts.std())
-        by_mean.setdefault(rho, []).append(sigma)
+    # rows in ascending code order, i.e. by first occurrence
+    for row in table[np.count_nonzero(table, axis=1) >= 2]:
+        counts = row.astype(float)
+        by_mean.setdefault(float(counts.mean()), []).append(float(counts.std()))
     if not by_mean:
         raise NotFittable("taylor: no word type occurs in 2 or more segments")
     xs = np.array(sorted(by_mean), dtype=float)
@@ -131,14 +114,20 @@ def hilberg_series(ts: TokenStream, max_block: int = HILBERG_MAX_BLOCK) -> Empir
     n = len(ts.words)
     if n == 0:
         raise NotFittable("hilberg: no word tokens")
+    blocks = codes = ts.codes
+    n_types = int(codes.max()) + 1
     xs: list[int] = []
     ys: list[float] = []
     for mu in range(1, max_block + 1):
-        if n - mu + 1 < 1:
-            break
-        grams = Counter(tuple(ts.words[i : i + mu]) for i in range(n - mu + 1))
         total = n - mu + 1
-        probs = np.array(list(grams.values()), dtype=float) / total
+        if total < 1:
+            break
+        # block code = prefix code * n_types + last word code, re-coded densely
+        # by np.unique so the next keys fit int64; summed by first occurrence
+        keys = blocks if mu == 1 else blocks[:total] * n_types + codes[mu - 1 :]
+        _, first, blocks, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True)
+        probs = counts[np.argsort(first)] / total
         xs.append(mu)
         ys.append(float(-np.sum(probs * np.log(probs))))
     return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="hilberg")
@@ -156,9 +145,8 @@ def ebeling_series(ts: TokenStream, min_windows: int = 8) -> EmpiricalSeries:
     c = len(chars)
     if c // min_windows < 2:
         raise NotFittable(f"ebeling: {c} characters is too short")
-    alphabet = sorted(set(chars))
-    index = {ch: i for i, ch in enumerate(alphabet)}
-    codes = np.fromiter((index[ch] for ch in chars), dtype=np.int64, count=c)
+    # each character's index in sorted(set(chars)), which sorts by code point
+    alphabet, codes = np.unique(np.frombuffer(chars.encode("utf-32-le"), "<u4"), return_inverse=True)
     k = len(alphabet)
     xs: list[int] = []
     ys: list[float] = []
@@ -180,15 +168,11 @@ def menzerath_series(ts: TokenStream) -> EmpiricalSeries:
     """
     if not ts.sentences:
         raise NotFittable("menzerath: no sentences")
-    lengths: dict[int, list[int]] = {}
-    offset = 0
-    for n_words in ts.sentences:
-        sentence_words = ts.words[offset : offset + n_words]
-        offset += n_words
-        lengths.setdefault(n_words, []).extend(len(w) for w in sentence_words)
-    xs = np.array(sorted(lengths), dtype=float)
-    ys = np.array([np.mean(lengths[int(x)]) for x in xs], dtype=float)
-    return EmpiricalSeries(xs, ys, law="menzerath")
+    sentence_len = np.repeat(ts.sentences, ts.sentences)  # per word
+    word_len = np.fromiter(map(len, ts.words), np.int64, len(ts.words))
+    xs = np.unique(ts.sentences)
+    ys = np.bincount(sentence_len, weights=word_len)[xs] / np.bincount(sentence_len)[xs]
+    return EmpiricalSeries(xs.astype(float), ys, law="menzerath")
 
 
 def benford_series(ts: TokenStream) -> EmpiricalSeries:

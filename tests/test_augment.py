@@ -124,6 +124,21 @@ class TestReplay:
         replayed = generate_instances(raw, cfg, ReplayTransport(replay_file))
         assert [d.text for d in replayed] == [d.text for d in originals]
 
+    def test_failed_dump_keeps_previous_record_file(self, raw, tmp_path, monkeypatch):
+        recorder = RecordingTransport(MockTransport(seed=3))
+        generate_instances(raw, GenerationConfig(n_instances=2, seed=3), recorder)
+        replay_file = tmp_path / "gens.jsonl"
+        replay_file.write_text("previous\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("zgptda.augment.os.replace", fail)
+        with pytest.raises(OSError):
+            recorder.dump(replay_file)
+        assert replay_file.read_text(encoding="utf-8") == "previous\n"
+        assert list(tmp_path.iterdir()) == [replay_file]
+
     def test_replay_miss_is_transport_error(self, raw, tmp_path):
         replay_file = tmp_path / "gens.jsonl"
         replay_file.write_text("", encoding="utf-8")

@@ -303,3 +303,23 @@ class TestConfigFile:
             "--out", out, "--scores", tmp_path / "s.json",
         ]) == 0
         assert len(out.read_text().splitlines()) == 4 + 4 * 2
+
+    @pytest.mark.parametrize("config, flag", [
+        ({"n": 2.5}, "--n"),
+        ({"transport": "bogus"}, "--transport"),
+        ({"fraction": True}, "--fraction"),
+    ])
+    def test_bad_config_value_rejected_before_any_work(self, config, flag, tmp_path, capsys):
+        # the input does not exist: the value is rejected before it is read
+        # and before any transport is built
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "a.jsonl"
+        assert run([
+            "--config", cfg, "augment", tmp_path / "nope.jsonl",
+            "--out", out, "--scores", tmp_path / "s.json",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "--config" in err and flag in err
+        assert "nope.jsonl" not in err and "requires --endpoint" not in err
+        assert not out.exists()
