@@ -35,6 +35,8 @@ LAW_NAMES = ("zipf", "heaps", "taylor", "hilberg", "ebeling", "menzerath", "benf
 HEAPS_TARGET_POINTS = 200
 TAYLOR_SEGMENT_LEN = 100
 HILBERG_MAX_BLOCK = 6
+# cells of the taylor and ebeling count tables held as float64 at a time
+_BLOCK_CELLS = 2 ** 18
 
 
 @dataclass
@@ -92,10 +94,14 @@ def taylor_series(ts: TokenStream, segment_len: int = TAYLOR_SEGMENT_LEN) -> Emp
     table = np.zeros((int(codes.max()) + 1, n_segments), dtype=np.min_scalar_type(segment_len))
     np.add.at(table, (codes, np.arange(codes.size) // segment_len), 1)
     by_mean: dict[float, list[float]] = {}
-    # rows in ascending code order, i.e. by first occurrence
-    for row in table[np.count_nonzero(table, axis=1) >= 2]:
-        counts = row.astype(float)
-        by_mean.setdefault(float(counts.mean()), []).append(float(counts.std()))
+    # rows in ascending code order, i.e. by first occurrence; each row's mean
+    # and std are reduced along the row, as for a single row
+    block_rows = max(1, _BLOCK_CELLS // n_segments)
+    for lo in range(0, len(table), block_rows):
+        block = table[lo : lo + block_rows]
+        block = block[np.count_nonzero(block, axis=1) >= 2].astype(float)
+        for mean, std in zip(block.mean(axis=1).tolist(), block.std(axis=1).tolist()):
+            by_mean.setdefault(mean, []).append(std)
     if not by_mean:
         raise NotFittable("taylor: no word type occurs in 2 or more segments")
     xs = np.array(sorted(by_mean), dtype=float)
@@ -148,16 +154,28 @@ def ebeling_series(ts: TokenStream, min_windows: int = 8) -> EmpiricalSeries:
     # each character's index in sorted(set(chars)), which sorts by code point
     alphabet, codes = np.unique(np.frombuffer(chars.encode("utf-32-le"), "<u4"), return_inverse=True)
     k = len(alphabet)
+    block_rows = max(1, _BLOCK_CELLS // k)
     xs: list[int] = []
     ys: list[float] = []
     u = 2
     while u <= c // min_windows:
         n_win = c // u
         trimmed = codes[: n_win * u]
-        win_ids = np.repeat(np.arange(n_win, dtype=np.int64), u)
-        table = np.bincount(win_ids * k + trimmed, minlength=n_win * k).reshape(n_win, k)
+        # numpy's var(axis=0) of the window x alphabet count table, a block of
+        # windows at a time: exact integer column means, then squared
+        # deviations summed down each column in row order, the running sum
+        # carried as the first row of the next block
+        mean = np.bincount(trimmed, minlength=k) / n_win
+        for lo in range(0, n_win, block_rows):
+            rows = min(block_rows, n_win - lo)
+            win_ids = np.repeat(np.arange(rows, dtype=np.int64), u)
+            table = np.bincount(win_ids * k + trimmed[lo * u : (lo + rows) * u],
+                                minlength=rows * k).reshape(rows, k)
+            dev = table - mean
+            dev *= dev
+            ssd = np.add.reduce(np.vstack([ssd, dev]) if lo else dev, axis=0)
         xs.append(u)
-        ys.append(float(table.var(axis=0).sum()))
+        ys.append(float((ssd / n_win).sum()))
         u *= 2
     return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="ebeling")
 

@@ -54,6 +54,9 @@ DEFAULT_Q_GRID = np.arange(-10.0, 10.5, 0.5)
 # window is perfectly detrended
 _F2_FLOOR = 1e-30
 
+# most grams whose buckets one HashedTrigramEmbedder keeps
+_GRAM_CACHE_MAX = 2 ** 16
+
 
 class ProviderError(Exception):
     """An embedding provider failed or cannot serve the requested unit."""
@@ -90,39 +93,87 @@ class HashedTrigramEmbedder(EmbeddingProvider):
     """Hermetic fallback provider: hashed byte-trigram frequency vectors.
 
     Each UTF-8 byte trigram of the unit is hashed (blake2b) into one of 64
-    buckets; the bucket counts are L2-normalized. Fully deterministic across
-    runs and platforms.
+    buckets; a unit of 1 or 2 bytes is hashed whole. The bucket counts are
+    L2-normalized. Fully deterministic across runs and platforms.
+
+    :meth:`unit_vectors` embeds all units of a document in one pass and
+    :meth:`embed` is its one-unit case. Only grams not seen before are
+    hashed: the buckets of the others come from a cache of at most
+    :data:`_GRAM_CACHE_MAX` grams, which starts again from the current
+    document's grams (as many as fit) when they would overflow it.
     """
 
     provider_id = "fallback-trigram-64"
     dimension = 64
 
     def __init__(self):
-        self._bucket_cache: dict[bytes, int] = {}
+        # (sorted gram codes, their buckets); replaced as one tuple so a
+        # concurrent reader never pairs codes with another table's buckets
+        self._gram_cache = (np.empty(0, np.int64), np.empty(0, np.int64))
 
-    def _bucket(self, gram: bytes) -> int:
-        b = self._bucket_cache.get(gram)
-        if b is None:
-            digest = hashlib.blake2b(gram, digest_size=8).digest()
-            b = int.from_bytes(digest, "big") % self.dimension
-            self._bucket_cache[gram] = b
-        return b
+    def _bucket(self, code: int) -> int:
+        gram = (code & 0xFFFFFF).to_bytes(code >> 24 or 3, "big")
+        digest = hashlib.blake2b(gram, digest_size=8).digest()
+        return int.from_bytes(digest, "big") % self.dimension
+
+    def _buckets(self, codes: np.ndarray) -> np.ndarray:
+        """The bucket of each of the sorted, distinct gram `codes`; only
+        codes not in the cache are hashed."""
+        keys, buckets = self._gram_cache
+        pos = np.searchsorted(keys, codes)
+        hit = pos < keys.size
+        hit[hit] = keys[pos[hit]] == codes[hit]
+        if hit.all():
+            return buckets[pos]
+        new = ~hit
+        out = np.empty(codes.size, np.int64)
+        out[hit] = buckets[pos[hit]]
+        out[new] = np.fromiter(map(self._bucket, codes[new].tolist()), np.int64)
+        if keys.size + np.count_nonzero(new) <= _GRAM_CACHE_MAX:
+            self._gram_cache = (np.insert(keys, pos[new], codes[new]),
+                                np.insert(buckets, pos[new], out[new]))
+        else:
+            # full: start again from this document's grams, as many as fit
+            self._gram_cache = (codes[:_GRAM_CACHE_MAX].copy(), out[:_GRAM_CACHE_MAX].copy())
+        return out
+
+    def unit_vectors(self, doc: Document, units: list[str]) -> np.ndarray:
+        encoded = []
+        for k, unit in enumerate(units):
+            try:
+                encoded.append(unit.encode("utf-8"))
+            except UnicodeEncodeError as exc:
+                raise ProviderError(f"{self.provider_id}: embedding failed for unit {k}") from exc
+        lengths = np.fromiter(map(len, encoded), np.int64, len(encoded))
+        n = int(lengths.sum())
+        data = np.frombuffer(b"".join(encoded) + b"\0\0", np.uint8).astype(np.int64)
+        # the code b0 << 16 | b1 << 8 | b2 of the three bytes starting at each position
+        grams = data[:n] << 16 | data[1 : n + 1] << 8 | data[2:]
+        unit_of = np.repeat(np.arange(len(units)), lengths)
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        # trigrams that lie wholly inside one unit
+        inside = np.flatnonzero(np.arange(n) + 3 <= ends[unit_of])
+        # a 1- or 2-byte unit is one gram, coded length << 24 | its bytes, above every trigram
+        short = np.flatnonzero((lengths == 1) | (lengths == 2))
+        short_codes = lengths[short] << 24 | grams[starts[short]] >> 8 * (3 - lengths[short])
+        # (gram code, unit) pairs sorted by code, so each distinct gram is
+        # looked up once; codes take 26 bits and unit indices fit in 32
+        pairs = np.sort(np.concatenate([grams[inside], short_codes]) << 32
+                        | np.concatenate([unit_of[inside], short]))
+        codes = pairs >> 32
+        is_first = np.diff(codes, prepend=-1) != 0
+        buckets = self._buckets(codes[is_first])[np.cumsum(is_first) - 1]
+        counts = np.bincount(
+            (pairs & 0xFFFFFFFF) * self.dimension + buckets, minlength=len(units) * self.dimension
+        ).reshape(len(units), self.dimension)
+        # integer counts: the sums of squares are exact, so the norms match a per-unit norm
+        norms = np.sqrt((counts * counts).sum(axis=1))
+        norms[norms == 0] = 1.0
+        return counts / norms[:, None]
 
     def embed(self, text_unit: str) -> np.ndarray:
-        data = text_unit.encode("utf-8")
-        vec = np.zeros(self.dimension)
-        if len(data) >= 3:
-            grams = (data[i : i + 3] for i in range(len(data) - 2))
-        elif data:
-            grams = (data,)
-        else:
-            return vec
-        for gram in grams:
-            vec[self._bucket(gram)] += 1.0
-        norm = np.linalg.norm(vec)
-        if norm > 0:
-            vec /= norm
-        return vec
+        return self.unit_vectors(None, [text_unit])[0]
 
 
 class FileVectorEmbedder(EmbeddingProvider):

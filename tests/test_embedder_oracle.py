@@ -8,12 +8,16 @@ equal the reference byte for byte.
 """
 
 import hashlib
+import random
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zgptda import mfdfa
 from zgptda.augment import GenerationConfig, MockTransport
 from zgptda.corpus import Document
 from zgptda.mfdfa import EmbeddingProvider, HashedTrigramEmbedder, ProviderError, build_series
@@ -125,3 +129,53 @@ def test_unencodable_unit_names_its_index():
     # a lone surrogate, as a "\ud800" JSON escape decodes to
     with pytest.raises(ProviderError, match="unit 2"):
         HashedTrigramEmbedder().unit_vectors(DOC, ["ok", "fine", "bad \ud800 unit", "ok"])
+
+
+def test_gram_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(mfdfa, "_GRAM_CACHE_MAX", 12)
+    embedder = HashedTrigramEmbedder()
+    docs = [
+        ["abcdef", "a"],             # 5 grams: cached
+        ["abcdefgh", "ab"],          # 3 more: cached
+        ["ijklmnopq", "abc"],        # 7 more would make 15: restart from these 8
+        ["abcdefghijklmnopqrstu"],   # 19 grams: restart from the 12 lowest codes
+        ["ijk"],                     # one of them
+    ]
+    sizes = []
+    for units in docs:
+        assert embedder.unit_vectors(DOC, units).tobytes() == ref_vectors(units).tobytes()
+        keys, buckets = embedder._gram_cache
+        assert keys.size == buckets.size <= 12
+        assert np.all(np.diff(keys) > 0)
+        sizes.append(keys.size)
+    assert sizes == [5, 8, 8, 12, 12]
+
+
+def test_shared_embedder_across_threads(monkeypatch):
+    # a small cache restarts often, so readers race with replacements
+    monkeypatch.setattr(mfdfa, "_GRAM_CACHE_MAX", 64)
+    embedder = HashedTrigramEmbedder()
+    rng = random.Random(5)
+    docs = [[rng.choice(EDGE_UNITS) + rng.choice("abcdef") * rng.randrange(6) for _ in range(30)]
+            for _ in range(24)]
+    expected = [ref_vectors(units).tobytes() for units in docs]
+    mismatches = []
+
+    def work(offset):
+        for _ in range(20):
+            for k in range(offset, len(docs), 6):
+                if embedder.unit_vectors(DOC, docs[k]).tobytes() != expected[k]:
+                    mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []

@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tests.conftest import synth_book
+from tests.test_laws_oracle import assert_matches_reference
+from zgptda import laws
 from zgptda.corpus import Document, TokenStream, tokenize
 from zgptda.fitkit import NotFittable, fit_loglog
 from zgptda.laws import (
@@ -123,6 +126,15 @@ class TestTaylor:
         s = taylor_series(tokenize(book_a), segment_len=100)
         n_segments = len(tokenize(book_a).words) // 100
         assert np.all(s.y <= s.x * math.sqrt(n_segments - 1) + 1e-9)
+
+
+@pytest.mark.parametrize("block_cells", [1, 100])
+@pytest.mark.parametrize("segment_len", [7, 20])
+def test_small_blocks_match_reference(monkeypatch, block_cells, segment_len):
+    # taylor and ebeling walk their count tables a block at a time; blocks of
+    # one row and of a few rows, with a short last block, change no bit
+    monkeypatch.setattr(laws, "_BLOCK_CELLS", block_cells)
+    assert_matches_reference(synth_book(seed=7, n_sentences=120), segment_len, max_block=2)
 
 
 class TestHilberg:
