@@ -587,6 +587,13 @@ def evaluate_corpus(
     the default q grid (the conformity fit alone only needs q = Q_REF); when
     the spectrum cannot be computed the multifractal law is unfittable.
     """
+    # checked before any work, with the messages of the steps that need them
+    if segment_len < 1:
+        raise ValueError("segment_len must be >= 1")
+    if max_block < 1:
+        raise ValueError("max_block must be >= 1")
+    if detrend_order < 1:
+        raise ValueError("detrend order must be >= 1")
     if not docs:
         raise ValueError("corpus is empty")
     merged = Document(id=name, text="\n".join(d.text for d in docs))

@@ -39,6 +39,12 @@ _EPS = 1e-12
 
 _MIN_POINTS = 3
 
+# regressors [1, d, ln d] of the first-digit model at d = 1..9, and their
+# pseudo-inverse: the least-squares coefficients of any log-frequency vector
+_DIGITS = np.arange(1, 10, dtype=float)
+_BENFORD_DESIGN = np.column_stack([np.ones(9), _DIGITS, np.log(_DIGITS)])
+_BENFORD_PINV = np.linalg.pinv(_BENFORD_DESIGN)
+
 
 class NotFittable(Exception):
     """The series has too few usable points for the law's regression."""
@@ -173,7 +179,7 @@ def fit_metrics(observed, fitted) -> FitMetrics:
 
 
 def fit_loglog(series: EmpiricalSeries) -> LawFit:
-    """Ordinary least squares of ln y on ln x.
+    """Ordinary least squares of ln y on ln x, solved in closed form.
 
     Zero-y points are dropped before fitting; at least 3 positive points must
     remain. ``fitted_y`` is evaluated at every x of the source series; the
@@ -189,21 +195,24 @@ def fit_loglog(series: EmpiricalSeries) -> LawFit:
         )
     lx = np.log(series.x[pos])
     ly = np.log(series.y[pos])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    prefactor = float(np.exp(intercept))
+    # centered normal equations; x is strictly increasing, so dx @ dx > 0
+    mean_x, mean_y = lx.mean(), ly.mean()
+    dx = lx - mean_x
+    slope = float(dx @ (ly - mean_y) / (dx @ dx))
+    prefactor = float(np.exp(mean_y - slope * mean_x))
     fitted_y = prefactor * series.x ** slope
     metrics = fit_metrics(series.y[pos], fitted_y[pos])
-    return LawFit(exponent=float(slope), prefactor=prefactor, fitted_y=fitted_y, metrics=metrics)
+    return LawFit(exponent=slope, prefactor=prefactor, fitted_y=fitted_y, metrics=metrics)
 
 
 def fit_benford(freqs) -> LawFit:
     """Fit first-digit frequencies to ``f(d) = C * exp(-k*d) * d**(w-1)``.
 
     The model is linear in log space: ``ln f = ln C - k*d + (w-1)*ln d``,
-    solved by least squares on the regressors [1, d, ln d]. Zero frequencies
-    are replaced by a smoothing epsilon before taking logs. The fitted curve
-    is renormalized to sum 1 before the metrics are computed against the
-    original frequencies.
+    solved by least squares on the regressors [1, d, ln d] through their fixed
+    pseudo-inverse. Zero frequencies are replaced by a smoothing epsilon
+    before taking logs. The fitted curve is renormalized to sum 1 before the
+    metrics are computed against the original frequencies.
 
     Returns a fit with ``exponent = k`` and ``secondary_exponent = w``.
 
@@ -218,13 +227,11 @@ def fit_benford(freqs) -> LawFit:
     if not np.any(f > 0):
         raise NotFittable("benford: all digit frequencies are zero")
 
-    d = np.arange(1, 10, dtype=float)
     smoothed = np.where(f > 0, f, _EPS)
-    design = np.column_stack([np.ones(9), d, np.log(d)])
-    beta, *_ = np.linalg.lstsq(design, np.log(smoothed), rcond=None)
+    beta = _BENFORD_PINV @ np.log(smoothed)
     kappa = float(-beta[1])
     omega = float(beta[2] + 1.0)
-    fitted = np.exp(design @ beta)
+    fitted = np.exp(_BENFORD_DESIGN @ beta)
     fitted = fitted / fitted.sum()
     metrics = fit_metrics(f, fitted)
     return LawFit(

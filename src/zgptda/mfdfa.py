@@ -315,25 +315,26 @@ def fluctuation(prof, scales, q_grid, m: int = 1) -> FluctuationMatrix:
     if m < 1:
         raise ValueError("detrend order must be >= 1")
 
-    values = np.empty((q_grid.size, scales.size))
-    floored = False
-    for j, s in enumerate(scales):
+    f2 = []
+    for s in scales.tolist():
         n_win = n // s
-        windows = np.vstack([prof[: n_win * s].reshape(n_win, s),
-                             prof[n - n_win * s:].reshape(n_win, s)])
-        design = np.vander(np.arange(s, dtype=float), m + 1)
-        coef, *_ = np.linalg.lstsq(design, windows.T, rcond=None)
-        resid = windows.T - design @ coef
-        f2 = np.mean(resid ** 2, axis=0)
-        if np.any(f2 < _F2_FLOOR):
-            floored = True
-            f2 = np.maximum(f2, _F2_FLOOR)
-        log_f2 = np.log(f2)
-        for i, q in enumerate(q_grid):
-            if q == 0.0:
-                values[i, j] = np.exp(0.5 * log_f2.mean())
-            else:
-                values[i, j] = np.mean(f2 ** (q / 2.0)) ** (1.0 / q)
+        windows = np.concatenate([prof[: n_win * s], prof[n - n_win * s:]]).reshape(2 * n_win, s)
+        # orthonormal basis of the order-m polynomials on a window; each
+        # window's residual is what its projection onto them leaves
+        basis, _ = np.linalg.qr(np.vander(np.arange(s, dtype=float), m + 1))
+        resid = windows - (windows @ basis) @ basis.T
+        f2.append(np.einsum("ij,ij->i", resid, resid) / s)
+    f2 = np.concatenate(f2)
+    floored = bool(np.any(f2 < _F2_FLOOR))
+    f2 = np.maximum(f2, _F2_FLOOR)
+    # the windows of scale j are the counts[j] entries of f2 from starts[j]
+    counts = 2 * (n // scales)
+    starts = np.cumsum(counts) - counts
+    values = np.empty((q_grid.size, scales.size))
+    zero = q_grid == 0.0
+    q = q_grid[~zero, None]
+    values[~zero] = (np.add.reduceat(f2 ** (q / 2.0), starts, axis=1) / counts) ** (1.0 / q)
+    values[zero] = np.exp(0.5 * np.add.reduceat(np.log(f2), starts) / counts)
     return FluctuationMatrix(values=values, q_grid=q_grid, scales=scales, floored=floored)
 
 
@@ -351,14 +352,14 @@ def spectrum(fluct: FluctuationMatrix) -> MultifractalSpectrum:
     if fluct.scales.size < 3:
         raise NotFittable(f"mandelbrot: {fluct.scales.size} scales, need 3")
     log_s = np.log(fluct.scales.astype(float))
-    h = np.empty(fluct.q_grid.size)
-    for i in range(fluct.q_grid.size):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_f = np.log(fluct.values[i])
-        if not np.all(np.isfinite(log_f)):
-            h[i] = np.nan
-            continue
-        h[i] = np.polyfit(log_s, log_f, 1)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_f = np.log(fluct.values)
+    finite = np.isfinite(log_f).all(axis=1)
+    # one centered least-squares slope per row with finite logs
+    dx = log_s - log_s.mean()
+    rows = log_f[finite]
+    h = np.full(fluct.q_grid.size, np.nan)
+    h[finite] = (rows - rows.mean(axis=1, keepdims=True)) @ dx / (dx @ dx)
     keep = np.isfinite(h)
     if int(keep.sum()) < 3:
         raise NotFittable("mandelbrot: fewer than 3 q points with finite slopes")

@@ -346,6 +346,20 @@ class TestCompareCorpora:
             if not cell["fittable"]:
                 assert "metrics" not in cell
 
+    @pytest.mark.parametrize("knob, message", [
+        ("detrend_order", "detrend order must be >= 1"),
+        ("segment_len", "segment_len must be >= 1"),
+        ("max_block", "max_block must be >= 1"),
+    ])
+    def test_bad_knob_rejected_before_tokenizing(self, monkeypatch, knob, message):
+        def tokenize(doc):
+            raise AssertionError("tokenized before the knobs were checked")
+
+        monkeypatch.setattr("zgptda.augment.tokenize", tokenize)
+        doc = Document(id="d", text="Some text. More text.")
+        with pytest.raises(ValueError, match=message):
+            evaluate_corpus([doc], **{knob: 0})
+
     def test_corpus_evaluation_counts(self, book_a):
         ev = evaluate_corpus([book_a], name="b")
         assert ev.word_count > 10_000
