@@ -94,8 +94,8 @@ class TestOutputsPinned:
         assert tree_sha256(out, grid) == COMPARE_SHA256
 
 
-ANALYZE_SHA256 = "a048e2f3137e5d0f45917bd0e19f3e2c7ce34ad16de70ba406eef50e71cda79c"
-COMPARE_SHA256 = "f12ba2fffca0a943096dc45145c46ffa9d355fc5e7eb8fd3096efa3fe5347cd2"
+ANALYZE_SHA256 = "3b3419072cedf230c05a29ea3d7704919969bfafbf57a7f93386bf4507b0d836"
+COMPARE_SHA256 = "1a98d43174791d33aac76cfdd72627fadce7a8ec878f3ee41b5b7c3d57b9f5fe"
 
 
 class TestCompare:
