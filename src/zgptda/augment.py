@@ -26,21 +26,15 @@ import numpy as np
 
 from .corpus import Document, tokenize
 from .fitkit import EmpiricalSeries, NotFittable
-from .laws import HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport, evaluate_all
-from .mfdfa import (
-    DEFAULT_Q_GRID,
-    EmbeddingProvider,
-    FluctuationMatrix,
-    HashedTrigramEmbedder,
-    MultifractalSpectrum,
-    build_series,
-    default_scales,
-    fluctuation,
-    mandelbrot_conformity,
-    profile,
-    spectrum,
-)
-from .zscore import NoSignal, Suitability, ZNumber, aggregate, infer_suitability, law_vector
+from .laws import (HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport, build_all,
+                   evaluate_all, fit_reports)
+# fluctuation, mandelbrot_conformity, law_vector, aggregate and infer_suitability
+# are not called here: perfbench/instrument.py looks them up on this module
+from .mfdfa import (DEFAULT_Q_GRID, EmbeddingProvider, FluctuationMatrix,  # noqa: F401
+                    HashedTrigramEmbedder, MultifractalSpectrum, build_series, default_scales,
+                    fluctuation, fluctuation_many, mandelbrot_conformity, profile, spectrum)
+from .zscore import (Suitability, ZNumber, aggregate, infer_suitability,  # noqa: F401
+                     law_vector, score_laws)
 
 __all__ = [
     "DEFAULT_PROMPT",
@@ -58,6 +52,7 @@ __all__ = [
     "generate_instances",
     "ScoredInstance",
     "score_instance",
+    "score_instances",
     "rank_instances",
     "select_augmented",
     "AugmentationRun",
@@ -382,57 +377,69 @@ class ScoredInstance:
 _FALLBACK_EMBEDDER = HashedTrigramEmbedder()
 
 
-def _unfittable_mandelbrot(exc: NotFittable) -> LawReport:
-    return LawReport(law="mandelbrot", series=None, fit=None, fittable=False, detail=str(exc))
+def _mandelbrot_reports(
+    docs: list[Document], embedder: EmbeddingProvider, q_grid, m: int
+) -> tuple[list[LawReport], list[FluctuationMatrix]]:
+    """The multifractal law of every document, with its series F_{Q_REF}(s)
+    not yet fitted, and F_q(s) over ``q_grid`` (which must hold Q_REF) of
+    each document long enough to compute it, all from one
+    :func:`fluctuation_many` call."""
+    reports = [LawReport(law="mandelbrot", series=None, fit=None, fittable=False) for _ in docs]
+    measured, profiles, scales = [], [], []
+    for report, doc in zip(reports, docs):
+        try:
+            series = build_series(doc, embedder)
+            scales.append(default_scales(len(series)))
+        except NotFittable as exc:
+            report.detail = str(exc)
+            continue
+        measured.append(report)
+        profiles.append(profile(series))
+    flucts = fluctuation_many(profiles, scales, q_grid, m=m)
+    row = np.isclose(q_grid, Q_REF)
+    for report, fluct in zip(measured, flucts):
+        report.series = EmpiricalSeries(fluct.scales.astype(float), fluct.values[row][0],
+                                        law="mandelbrot")
+    return reports, flucts
 
 
-def _mandelbrot_report(
-    doc: Document, embedder: EmbeddingProvider, q_grid, m: int
-) -> tuple[LawReport, FluctuationMatrix | None]:
-    """The multifractal law's conformity fit on F_{Q_REF}(s), plus F_q(s)
-    over ``q_grid`` (which must hold Q_REF); the matrix is None when the
-    text is too short to compute it."""
-    fluct = None
-    try:
-        series = build_series(doc, embedder)
-        fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
-        fit = mandelbrot_conformity(fluct, Q_REF)
-    except NotFittable as exc:
-        return _unfittable_mandelbrot(exc), fluct
-    row = fluct.values[np.isclose(fluct.q_grid, Q_REF)][0]
-    emp = EmpiricalSeries(fluct.scales.astype(float), row, law="mandelbrot")
-    return LawReport(law="mandelbrot", series=emp, fit=fit, fittable=True), fluct
+def score_instances(
+    docs: list[Document], *, embedder: EmbeddingProvider | None = None
+) -> list[ScoredInstance]:
+    """Fit all eight laws on each document and attach its suitability.
+
+    The documents are scored as one batch: the detrending basis of each
+    window size is shared, every law of every document is fitted by one
+    segmented reduction (the first-digit law by one product), graded as one
+    array and inferred on one grid. Unfittable laws are excluded from their
+    instance's aggregation (the Z-number mean renormalizes over the rest) and
+    listed in ``excluded_laws``. An instance with zero fittable laws is
+    flagged ``no_signal`` and scored 0.
+    """
+    law_reports = [build_all(tokenize(doc)) for doc in docs]
+    mandelbrot, _ = _mandelbrot_reports(docs, embedder or _FALLBACK_EMBEDDER, (Q_REF,), m=1)
+    for reports, report in zip(law_reports, mandelbrot):
+        reports.append(report)
+    fit_reports([r for reports in law_reports for r in reports])
+    metrics = [[r.fit.metrics for r in reports if r.fittable] for reports in law_reports]
+    zs, suits = score_laws(np.array([(m.r2, m.kl, m.js, m.mape) for ms in metrics for m in ms]),
+                           [len(ms) for ms in metrics])
+    return [
+        ScoredInstance(
+            instance=doc,
+            law_reports=reports,
+            z=z,
+            suitability=suit,
+            excluded_laws=[r.law for r in reports if not r.fittable],
+            no_signal=z is None,
+        )
+        for doc, reports, z, suit in zip(docs, law_reports, zs, suits)
+    ]
 
 
 def score_instance(instance: Document, *, embedder: EmbeddingProvider | None = None) -> ScoredInstance:
-    """Fit all eight laws on one instance and attach its suitability.
-
-    Unfittable laws are excluded from the aggregation (the Z-number mean
-    renormalizes over the rest) and listed in ``excluded_laws``. An instance
-    with zero fittable laws is flagged ``no_signal`` and scored 0.
-    """
-    ts = tokenize(instance)
-    reports = evaluate_all(ts)
-    mandelbrot, _ = _mandelbrot_report(instance, embedder or _FALLBACK_EMBEDDER, (Q_REF,), m=1)
-    reports.append(mandelbrot)
-    vectors = [law_vector(r.fit.metrics) for r in reports if r.fittable]
-    excluded = [r.law for r in reports if not r.fittable]
-    try:
-        z = aggregate(vectors)
-        suit = infer_suitability(z)
-        no_signal = False
-    except NoSignal:
-        z = None
-        suit = Suitability(s=0.0, s_prime_centroid=1.0)
-        no_signal = True
-    return ScoredInstance(
-        instance=instance,
-        law_reports=reports,
-        z=z,
-        suitability=suit,
-        excluded_laws=excluded,
-        no_signal=no_signal,
-    )
+    """:func:`score_instances` of one document."""
+    return score_instances([instance], embedder=embedder)[0]
 
 
 def _order(scored: ScoredInstance):
@@ -488,9 +495,7 @@ def run_augmentation(
         except PartialGeneration as exc:
             docs = exc.instances
             error = exc
-        scored = rank_instances([
-            score_instance(d, embedder=embedder) for d in docs
-        ])
+        scored = rank_instances(score_instances(docs, embedder=embedder)) if docs else []
         selected = select_augmented(scored, cfg.top_fraction) if scored else []
         runs.append(AugmentationRun(
             raw=raw,
@@ -600,15 +605,17 @@ def evaluate_corpus(
     ts = tokenize(merged)
     reports = evaluate_all(ts, segment_len=segment_len, max_block=max_block)
     q_grid = DEFAULT_Q_GRID if with_spectrum else (Q_REF,)
-    mandelbrot, fluct = _mandelbrot_report(
-        merged, embedder or _FALLBACK_EMBEDDER, q_grid, m=detrend_order
+    [mandelbrot], flucts = _mandelbrot_reports(
+        [merged], embedder or _FALLBACK_EMBEDDER, q_grid, m=detrend_order
     )
+    fit_reports([mandelbrot])
     spec = None
-    if with_spectrum and fluct is not None:
+    if with_spectrum and flucts:
         try:
-            spec = spectrum(fluct)
+            spec = spectrum(flucts[0])
         except NotFittable as exc:
-            mandelbrot = _unfittable_mandelbrot(exc)
+            mandelbrot = LawReport(law="mandelbrot", series=None, fit=None, fittable=False,
+                                   detail=str(exc))
     reports.append(mandelbrot)
     return CorpusEvaluation(
         name=name,

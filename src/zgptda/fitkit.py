@@ -9,6 +9,7 @@ Acceptance thresholds: R^2 > 0.9, KL < 0.5, JS < 0.2, MAPE < 0.5.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +22,9 @@ __all__ = [
     "LawFit",
     "fit_metrics",
     "fit_loglog",
+    "fit_loglog_many",
     "fit_benford",
+    "fit_benford_many",
     "R2_MIN",
     "KL_MAX",
     "JS_MAX",
@@ -38,6 +41,9 @@ MAPE_MAX = 0.5
 _EPS = 1e-12
 
 _MIN_POINTS = 3
+
+# ulps of n * mean^2 below which an observed series' spread is rounding
+_FLAT_ULPS = 4
 
 # regressors [1, d, ln d] of the first-digit model at d = 1..9, and their
 # pseudo-inverse: the least-squares coefficients of any log-frequency vector
@@ -130,13 +136,41 @@ class LawFit:
         return ConformityVerdict.from_metrics(self.metrics)
 
 
-def _normalize(v: np.ndarray) -> np.ndarray:
-    v = v + _EPS
-    return v / v.sum()
+def _segment_metrics(p: np.ndarray, q: np.ndarray, counts: np.ndarray) -> list[FitMetrics]:
+    """The metrics of consecutive segments of `p` and `q` with the given
+    lengths (each >= 2, each with a nonzero observed value)."""
+    starts = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(counts.size), counts)
+
+    def total(v, at=starts):
+        return np.add.reduceat(v, at)
+
+    mean = total(p) / counts
+    ss_res = total((p - q) ** 2)
+    ss_tot = total((p - mean[seg]) ** 2)
+    # a spread below a few ulps of n * mean^2 is rounding: the series is
+    # constant, and fitted when the fit matches it to the same resolution
+    resolution = _FLAT_ULPS * np.finfo(float).eps * counts * mean ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(ss_tot <= resolution, ss_res <= resolution,
+                      np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0))
+    pn = (p + _EPS) / total(p + _EPS)[seg]
+    qn = (q + _EPS) / total(q + _EPS)[seg]
+    m = 0.5 * (pn + qn)
+    kl = np.maximum(0.0, total(pn * np.log(pn / qn)))
+    js = np.maximum(0.0, (0.5 * total(pn * np.log(pn / m)) + 0.5 * total(qn * np.log(qn / m)))
+                    / math.log(2.0))
+    nz = p != 0
+    nz_counts = total(nz.astype(np.int64))
+    mape = total(np.abs((q[nz] - p[nz]) / p[nz]), np.cumsum(nz_counts) - nz_counts) / nz_counts
+    return [FitMetrics(*row) for row in zip(r2.tolist(), kl.tolist(), js.tolist(), mape.tolist())]
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.sum(p * np.log(p / q)))
+def _one(result):
+    """The entry of a one-item batch, raised if it is a NotFittable."""
+    if isinstance(result, NotFittable):
+        raise result
+    return result
 
 
 def fit_metrics(observed, fitted) -> FitMetrics:
@@ -146,7 +180,9 @@ def fit_metrics(observed, fitted) -> FitMetrics:
     observed == 0); KL and JS are computed on the two series normalized to
     probability vectors after additive epsilon smoothing. JS uses the
     symmetric midpoint form in natural log, divided by ln 2 so it lies in
-    [0, 1].
+    [0, 1]. An observed series whose spread is below a few ulps of
+    n * mean^2 is constant: R^2 is 1 if the fit matches it to that
+    resolution and 0 otherwise.
     """
     p = np.asarray(observed, dtype=float)
     q = np.asarray(fitted, dtype=float)
@@ -158,24 +194,42 @@ def fit_metrics(observed, fitted) -> FitMetrics:
         raise ValueError("observed values are all zero")
     if np.any(p < 0) or np.any(q < 0):
         raise ValueError("metric inputs must be nonnegative")
+    return _segment_metrics(p, q, np.array([p.size]))[0]
 
-    ss_res = float(np.sum((p - q) ** 2))
-    ss_tot = float(np.sum((p - p.mean()) ** 2))
-    if ss_tot == 0.0:
-        r2 = 1.0 if ss_res < 1e-12 else 0.0
-    else:
-        r2 = min(1.0, max(0.0, 1.0 - ss_res / ss_tot))
 
-    pn = _normalize(p)
-    qn = _normalize(q)
-    kl = max(0.0, _kl(pn, qn))
-    m = 0.5 * (pn + qn)
-    js = max(0.0, (0.5 * _kl(pn, m) + 0.5 * _kl(qn, m)) / math.log(2.0))
-
-    nz = p != 0
-    mape = float(np.mean(np.abs((q[nz] - p[nz]) / p[nz])))
-
-    return FitMetrics(r2=r2, kl=kl, js=js, mape=mape)
+def fit_loglog_many(series: Sequence[EmpiricalSeries]) -> list[LawFit | NotFittable]:
+    """:func:`fit_loglog` of every series, as one segmented reduction over
+    their concatenated positive supports. A series that cannot be fitted has
+    the :class:`NotFittable` it raises alone in its place."""
+    pos = [s.y > 0 for s in series]
+    n_pos = np.array([np.count_nonzero(mask) for mask in pos], dtype=np.int64)
+    results = [None if n >= _MIN_POINTS else
+               NotFittable(f"{s.law or 'series'}: {n} positive points, need {_MIN_POINTS}")
+               for s, n in zip(series, n_pos.tolist())]
+    ok = [i for i, r in enumerate(results) if r is None]
+    if not ok:
+        return results
+    x = np.concatenate([series[i].x for i in ok])
+    y = np.concatenate([series[i].y for i in ok])
+    keep = np.concatenate([pos[i] for i in ok])
+    counts = n_pos[ok]
+    lengths = np.array([series[i].x.size for i in ok])
+    starts = np.cumsum(counts) - counts
+    seg = np.repeat(np.arange(len(ok)), counts)
+    lx, ly = np.log(x[keep]), np.log(y[keep])
+    # centered normal equations; x is strictly increasing, so sum(dx^2) > 0
+    mean_x = np.add.reduceat(lx, starts) / counts
+    mean_y = np.add.reduceat(ly, starts) / counts
+    dx = lx - mean_x[seg]
+    slope = np.add.reduceat(dx * (ly - mean_y[seg]), starts) / np.add.reduceat(dx * dx, starts)
+    prefactor = np.exp(mean_y - slope * mean_x)
+    full = np.repeat(np.arange(len(ok)), lengths)
+    fitted = prefactor[full] * x ** slope[full]
+    metrics = _segment_metrics(y[keep], fitted[keep], counts)
+    for i, k, c, fitted_y, m in zip(ok, slope.tolist(), prefactor.tolist(),
+                                    np.split(fitted, np.cumsum(lengths)[:-1]), metrics):
+        results[i] = LawFit(exponent=k, prefactor=c, fitted_y=fitted_y, metrics=m)
+    return results
 
 
 def fit_loglog(series: EmpiricalSeries) -> LawFit:
@@ -188,21 +242,32 @@ def fit_loglog(series: EmpiricalSeries) -> LawFit:
     Raises:
         NotFittable: fewer than 3 positive points.
     """
-    pos = series.y > 0
-    if int(pos.sum()) < _MIN_POINTS:
-        raise NotFittable(
-            f"{series.law or 'series'}: {int(pos.sum())} positive points, need {_MIN_POINTS}"
-        )
-    lx = np.log(series.x[pos])
-    ly = np.log(series.y[pos])
-    # centered normal equations; x is strictly increasing, so dx @ dx > 0
-    mean_x, mean_y = lx.mean(), ly.mean()
-    dx = lx - mean_x
-    slope = float(dx @ (ly - mean_y) / (dx @ dx))
-    prefactor = float(np.exp(mean_y - slope * mean_x))
-    fitted_y = prefactor * series.x ** slope
-    metrics = fit_metrics(series.y[pos], fitted_y[pos])
-    return LawFit(exponent=slope, prefactor=prefactor, fitted_y=fitted_y, metrics=metrics)
+    return _one(fit_loglog_many([series])[0])
+
+
+def fit_benford_many(freqs) -> list[LawFit | NotFittable]:
+    """:func:`fit_benford` of every row of a (k, 9) frequency array, as one
+    product with the design's pseudo-inverse. A row that cannot be fitted
+    has the :class:`NotFittable` it raises alone in its place."""
+    f = np.asarray(freqs, dtype=float)
+    if f.ndim != 2 or f.shape[1] != 9:
+        raise ValueError("expected 9 digit frequencies (digits 1..9)")
+    if np.any(f < 0):
+        raise ValueError("frequencies must be nonnegative")
+    ok = np.any(f > 0, axis=1)
+    results = [None if row_ok else NotFittable("benford: all digit frequencies are zero")
+               for row_ok in ok.tolist()]
+    f = f[ok]
+    # row by row, so that a row's fit does not depend on the rows beside it
+    beta = np.vecdot(np.log(np.where(f > 0, f, _EPS))[:, None, :], _BENFORD_PINV)
+    fitted = np.exp(np.vecdot(beta[:, None, :], _BENFORD_DESIGN))
+    fitted /= fitted.sum(axis=1, keepdims=True)
+    metrics = _segment_metrics(f.ravel(), fitted.ravel(), np.full(len(f), 9)) if len(f) else []
+    for i, b, c, fitted_y, m in zip(np.flatnonzero(ok).tolist(), beta.tolist(),
+                                    np.exp(beta[:, 0]).tolist(), fitted, metrics):
+        results[i] = LawFit(exponent=-b[1], prefactor=c, fitted_y=fitted_y, metrics=m,
+                            secondary_exponent=b[2] + 1.0)
+    return results
 
 
 def fit_benford(freqs) -> LawFit:
@@ -219,25 +284,6 @@ def fit_benford(freqs) -> LawFit:
     Raises:
         NotFittable: all nine frequencies are zero.
     """
-    f = np.asarray(freqs, dtype=float)
-    if f.shape != (9,):
+    if np.shape(freqs) != (9,):
         raise ValueError("expected 9 digit frequencies (digits 1..9)")
-    if np.any(f < 0):
-        raise ValueError("frequencies must be nonnegative")
-    if not np.any(f > 0):
-        raise NotFittable("benford: all digit frequencies are zero")
-
-    smoothed = np.where(f > 0, f, _EPS)
-    beta = _BENFORD_PINV @ np.log(smoothed)
-    kappa = float(-beta[1])
-    omega = float(beta[2] + 1.0)
-    fitted = np.exp(_BENFORD_DESIGN @ beta)
-    fitted = fitted / fitted.sum()
-    metrics = fit_metrics(f, fitted)
-    return LawFit(
-        exponent=kappa,
-        prefactor=float(np.exp(beta[0])),
-        fitted_y=fitted,
-        metrics=metrics,
-        secondary_exponent=omega,
-    )
+    return _one(fit_benford_many([freqs])[0])

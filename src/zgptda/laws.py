@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TokenStream, first_digits
-from .fitkit import EmpiricalSeries, LawFit, NotFittable, fit_benford, fit_loglog
+# fit_loglog and fit_benford are not called here: perfbench/instrument.py
+# looks them up on this module
+from .fitkit import (EmpiricalSeries, LawFit, NotFittable, fit_benford,  # noqa: F401
+                     fit_benford_many, fit_loglog, fit_loglog_many)
 
 __all__ = [
     "LAW_NAMES",
@@ -26,6 +29,8 @@ __all__ = [
     "ebeling_series",
     "menzerath_series",
     "benford_series",
+    "build_all",
+    "fit_reports",
     "evaluate_all",
 ]
 
@@ -206,22 +211,16 @@ def benford_series(ts: TokenStream) -> EmpiricalSeries:
     return EmpiricalSeries(digits, freqs, law="benford")
 
 
-def _fit(series: EmpiricalSeries) -> LawFit:
-    if series.law == "benford":
-        return fit_benford(series.y)
-    return fit_loglog(series)
-
-
-def evaluate_all(
+def build_all(
     ts: TokenStream,
     *,
     segment_len: int = TAYLOR_SEGMENT_LEN,
     max_block: int = HILBERG_MAX_BLOCK,
 ) -> list[LawReport]:
-    """Build and fit all seven token-level laws.
+    """Build the series of all seven token-level laws, not yet fitted.
 
-    Unfittable laws are flagged in their report, never fatal, so short texts
-    degrade gracefully. Report order matches :data:`LAW_NAMES`.
+    A law whose builder raises :class:`NotFittable` is reported unfittable
+    with the reason. Report order matches :data:`LAW_NAMES`.
     """
     builders = {
         "zipf": lambda: zipf_series(ts),
@@ -235,16 +234,42 @@ def evaluate_all(
     reports: list[LawReport] = []
     for law in LAW_NAMES:
         try:
-            series = builders[law]()
+            reports.append(LawReport(law=law, series=builders[law](), fit=None, fittable=False))
         except NotFittable as exc:
             reports.append(LawReport(law=law, series=None, fit=None, fittable=False, detail=str(exc)))
-            continue
-        try:
-            fit = _fit(series)
-        except NotFittable as exc:
-            reports.append(
-                LawReport(law=law, series=series, fit=None, fittable=False, detail=str(exc))
-            )
-            continue
-        reports.append(LawReport(law=law, series=series, fit=fit, fittable=True))
     return reports
+
+
+def fit_reports(reports: list[LawReport]) -> list[LawReport]:
+    """Fit the series of every report in place and return the reports.
+
+    The first-digit series are fitted as one product and all others as one
+    segmented log-log reduction, whichever text or law they come from. A
+    series the regression rejects leaves its report unfittable with the
+    reason.
+    """
+    built = [r for r in reports if r.series is not None]
+    loglog = [r for r in built if r.law != "benford"]
+    benford = [r for r in built if r.law == "benford"]
+    fits = fit_loglog_many([r.series for r in loglog]) + fit_benford_many(
+        np.reshape([r.series.y for r in benford], (-1, 9)))
+    for report, fit in zip(loglog + benford, fits):
+        if isinstance(fit, NotFittable):
+            report.detail = str(fit)
+        else:
+            report.fit, report.fittable = fit, True
+    return reports
+
+
+def evaluate_all(
+    ts: TokenStream,
+    *,
+    segment_len: int = TAYLOR_SEGMENT_LEN,
+    max_block: int = HILBERG_MAX_BLOCK,
+) -> list[LawReport]:
+    """Build and fit all seven token-level laws.
+
+    Unfittable laws are flagged in their report, never fatal, so short texts
+    degrade gracefully. Report order matches :data:`LAW_NAMES`.
+    """
+    return fit_reports(build_all(ts, segment_len=segment_len, max_block=max_block))

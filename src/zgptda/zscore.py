@@ -8,7 +8,6 @@ a non-suitability distribution S', and defuzzified by centroid; the final
 suitability is s = 1 - centroid(S').
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,7 @@ __all__ = [
     "law_vector",
     "aggregate",
     "infer_suitability",
+    "score_laws",
     "describe_rulebase",
 ]
 
@@ -51,14 +51,24 @@ class TriMF:
         if not (self.a <= self.b <= self.c):
             raise ValueError(f"invalid trimf points ({self.a}, {self.b}, {self.c})")
 
-    def membership(self, x: float) -> float:
-        if x == self.b:
-            return 1.0
-        if x <= self.a or x >= self.c:
-            return 0.0
-        if x < self.b:
-            return (x - self.a) / (self.b - self.a)
-        return (self.c - x) / (self.c - self.b)
+    def membership(self, x):
+        """Membership of `x`, a number or an array of them."""
+        mu = _trimf(self.a, self.b, self.c, np.asarray(x, dtype=float))
+        return mu if mu.ndim else float(mu)
+
+
+def _trimf(a, b, c, x):
+    """Triangular membership of `x` in the sets with points (a, b, c), all
+    broadcast against each other: rising on (a, b), falling on (b, c), 1 at b."""
+    rising = np.divide(x - a, b - a, out=np.zeros(np.broadcast(a, b, c, x).shape),
+                       where=(x > a) & (x < b))
+    falling = np.divide(c - x, c - b, out=np.zeros_like(rising), where=(x > b) & (x < c))
+    return np.where(x == b, 1.0, rising + falling)
+
+
+def _points(sets) -> np.ndarray:
+    """The (a, b, c) of each set, one row per set."""
+    return np.array([[t.a, t.b, t.c] for t in sets])
 
 
 # Per-metric grading sets (Low, Medium, High). R^2 is graded via 1 - R^2 and
@@ -94,6 +104,30 @@ class MetricGrade:
     fallback: bool = False
 
 
+# (a, b, c) of the Low, Medium and High sets of each metric, in METRIC_ORDER
+_GRADE_POINTS = np.array([_points(GRADE_TABLES[kind]) for kind in METRIC_ORDER])
+
+
+def _grade(values: np.ndarray, kinds: np.ndarray):
+    """Membership degrees (N, 3), badness (N,) and fallback flags (N,) of
+    metric values graded by the tables of the METRIC_ORDER indices `kinds`."""
+    if not np.isfinite(values).all():
+        bad = METRIC_ORDER[int(kinds[~np.isfinite(values)][0])]
+        raise ValueError(f"{bad}: value must be finite")
+    a, apexes, c = np.moveaxis(_GRADE_POINTS[kinds], 2, 0)
+    graded = np.where(kinds == 0, 1.0 - values, values)
+    graded = np.minimum(np.maximum(graded, 0.0), apexes[:, 2])[:, None]
+    degrees = _trimf(a, apexes, c, graded)
+    # boundary points between adjacent sets (shared feet) carry zero
+    # membership everywhere; assign the nearest set, lower on ties
+    fallback = degrees.sum(axis=1) == 0.0
+    nearest = np.argmin(np.abs(graded[fallback] - apexes[fallback]), axis=1)
+    degrees[fallback] = np.eye(3)[nearest]
+    centroid = (degrees * apexes).sum(axis=1) / degrees.sum(axis=1)
+    badness = (centroid - apexes[:, 0]) / (apexes[:, 2] - apexes[:, 0])
+    return degrees, badness, fallback
+
+
 def grade_metric(metric_kind: str, value: float) -> MetricGrade:
     """Grade one metric value into (Low, Medium, High) and a badness scalar.
 
@@ -105,32 +139,11 @@ def grade_metric(metric_kind: str, value: float) -> MetricGrade:
     """
     if metric_kind not in GRADE_TABLES:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{metric_kind}: value must be finite")
-    graded = 1.0 - value if metric_kind == "r2" else value
-    if graded < 0:
-        graded = 0.0
-    sets = GRADE_TABLES[metric_kind]
-    apexes = tuple(s.b for s in sets)
-    graded = min(graded, apexes[2])
-    degrees = [s.membership(graded) for s in sets]
-    fallback = False
-    if sum(degrees) == 0.0:
-        # boundary points between adjacent sets (shared feet) carry zero
-        # membership everywhere; assign the nearest set, lower on ties
-        fallback = True
-        nearest = min(range(3), key=lambda i: (abs(graded - apexes[i]), i))
-        degrees = [0.0, 0.0, 0.0]
-        degrees[nearest] = 1.0
-    centroid = sum(d * p for d, p in zip(degrees, apexes)) / sum(degrees)
-    badness = (centroid - apexes[0]) / (apexes[2] - apexes[0])
-    return MetricGrade(
-        low=degrees[0],
-        medium=degrees[1],
-        high=degrees[2],
-        badness=badness,
-        fallback=fallback,
-    )
+    degrees, badness, fallback = _grade(
+        np.array([value], dtype=float), np.array([METRIC_ORDER.index(metric_kind)]))
+    low, medium, high = degrees[0].tolist()
+    return MetricGrade(low=low, medium=medium, high=high, badness=float(badness[0]),
+                       fallback=bool(fallback[0]))
 
 
 @dataclass
@@ -142,12 +155,17 @@ class LawVector:
     reliability: float
 
 
+def _law_vectors(metrics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Badness rows (N, 4) and reliabilities (N,) of metric rows (N, 4)."""
+    kinds = np.tile(np.arange(len(METRIC_ORDER)), len(metrics))
+    badness = _grade(metrics.ravel(), kinds)[1].reshape(metrics.shape)
+    return badness, badness.std(axis=1)
+
+
 def law_vector(metrics: FitMetrics) -> LawVector:
-    values = (metrics.r2, metrics.kl, metrics.js, metrics.mape)
-    badness = np.array(
-        [grade_metric(kind, v).badness for kind, v in zip(METRIC_ORDER, values)]
-    )
-    return LawVector(badness=badness, reliability=float(badness.std()))
+    badness, reliability = _law_vectors(
+        np.array([[metrics.r2, metrics.kl, metrics.js, metrics.mape]], dtype=float))
+    return LawVector(badness=badness[0], reliability=float(reliability[0]))
 
 
 @dataclass(frozen=True)
@@ -158,6 +176,17 @@ class ZNumber:
     a_t: float
     b_t: float
     laws_used: int
+
+
+def _znumbers(badness: np.ndarray, reliability: np.ndarray,
+              used: list[int]) -> list[ZNumber | None]:
+    """The Z-number of each consecutive group of used[i] law vectors, None
+    for an empty group. Each mean is taken over the group's own slice, so it
+    sums the group's laws in the order the group alone would."""
+    contributions = np.abs(np.vecdot(badness, WEIGHTS))
+    return [ZNumber(a_t=float(contributions[end - n:end].mean()),
+                    b_t=float(reliability[end - n:end].mean()), laws_used=n) if n else None
+            for end, n in zip(np.cumsum(used, dtype=np.int64).tolist(), used)]
 
 
 def aggregate(law_vectors) -> ZNumber:
@@ -172,9 +201,8 @@ def aggregate(law_vectors) -> ZNumber:
     vectors = list(law_vectors)
     if not vectors:
         raise NoSignal("no fittable laws to aggregate")
-    a_t = float(np.mean([abs(float(WEIGHTS @ v.badness)) for v in vectors]))
-    b_t = float(np.mean([v.reliability for v in vectors]))
-    return ZNumber(a_t=a_t, b_t=b_t, laws_used=len(vectors))
+    return _znumbers(np.array([v.badness for v in vectors]),
+                     np.array([v.reliability for v in vectors]), [len(vectors)])[0]
 
 
 @dataclass(frozen=True)
@@ -207,6 +235,32 @@ RULES: tuple[tuple[str, tuple[str, ...] | None, tuple[str, ...]], ...] = (
 )
 
 _CENTROID_GRID = np.linspace(0.0, 1.0, 1001)
+# each S' set's membership on the centroid grid, one row per set
+_S_ON_GRID = _trimf(*_points(S_SETS.values()).T[:, :, None], _CENTROID_GRID)
+
+
+def _infer(a_t: np.ndarray, b_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suitability s and the centroid of S' for each (A_t, B_t) pair."""
+    a_t = np.clip(a_t, 0.0, 1.0)[:, None]
+    b_t = np.clip(b_t, 0.0, B_CLAMP)[:, None]
+    mu_a = dict(zip(A_SETS, _trimf(*_points(A_SETS.values()).T, a_t).T))
+    mu_b = dict(zip(B_SETS, _trimf(*_points(B_SETS.values()).T, b_t).T))
+    activations = {name: np.zeros(len(a_t)) for name in S_SETS}
+    for a_name, b_names, s_names in RULES:
+        strength = mu_a[a_name]
+        if b_names is not None:
+            strength = np.minimum(strength, np.max([mu_b[n] for n in b_names], axis=0))
+        for s_name in s_names:
+            activations[s_name] = np.maximum(activations[s_name], strength)
+    x = _CENTROID_GRID
+    agg = np.zeros((len(a_t), x.size))
+    for level, on_grid in zip(activations.values(), _S_ON_GRID):
+        np.maximum(agg, np.minimum(level[:, None], on_grid), out=agg)
+    mass = np.trapezoid(agg, x, axis=1)
+    if np.any(mass <= 0.0):
+        raise RuntimeError("rule base produced an empty aggregate; inputs out of range?")
+    centroid = np.trapezoid(x * agg, x, axis=1) / mass
+    return 1.0 - centroid, centroid
 
 
 def infer_suitability(z: ZNumber) -> Suitability:
@@ -217,43 +271,25 @@ def infer_suitability(z: ZNumber) -> Suitability:
     grid (trapezoidal integration); the completed rule base guarantees a
     nonzero aggregate for every input.
     """
-    a_t = min(max(z.a_t, 0.0), 1.0)
-    b_t = min(max(z.b_t, 0.0), B_CLAMP)
-    activations = {name: 0.0 for name in S_SETS}
-    for a_name, b_names, s_names in RULES:
-        mu_a = A_SETS[a_name].membership(a_t)
-        if b_names is None:
-            mu_b = 1.0
-        else:
-            mu_b = max(B_SETS[n].membership(b_t) for n in b_names)
-        strength = min(mu_a, mu_b)
-        for s_name in s_names:
-            activations[s_name] = max(activations[s_name], strength)
-
-    x = _CENTROID_GRID
-    agg = np.zeros_like(x)
-    for name, level in activations.items():
-        if level <= 0.0:
-            continue
-        mf = S_SETS[name]
-        np.maximum(agg, np.minimum(level, _vector_membership(mf, x)), out=agg)
-    mass = np.trapezoid(agg, x)
-    if mass <= 0.0:
-        raise RuntimeError("rule base produced an empty aggregate; inputs out of range?")
-    centroid = float(np.trapezoid(x * agg, x) / mass)
-    return Suitability(s=1.0 - centroid, s_prime_centroid=centroid)
+    s, centroid = _infer(np.array([z.a_t]), np.array([z.b_t]))
+    return Suitability(s=float(s[0]), s_prime_centroid=float(centroid[0]))
 
 
-def _vector_membership(mf: TriMF, x: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(x)
-    if mf.b > mf.a:
-        rising = (x > mf.a) & (x < mf.b)
-        out[rising] = (x[rising] - mf.a) / (mf.b - mf.a)
-    if mf.c > mf.b:
-        falling = (x > mf.b) & (x < mf.c)
-        out[falling] = (mf.c - x[falling]) / (mf.c - mf.b)
-    out[x == mf.b] = 1.0
-    return out
+def score_laws(metrics: np.ndarray,
+               used: list[int]) -> tuple[list[ZNumber | None], list[Suitability]]:
+    """Z-numbers and suitabilities of instances from the (R^2, KL, JS, MAPE)
+    rows of their fittable laws, instance i owning the next used[i] rows.
+
+    All laws are graded as one array, aggregated per instance, and inferred
+    on one grid. An instance with no law gets ``None`` for its Z-number and
+    the no-signal suitability s = 0.
+    """
+    zs = _znumbers(*_law_vectors(metrics.reshape(-1, len(METRIC_ORDER))), used)
+    signal = [z for z in zs if z is not None]
+    s, centroid = _infer(np.array([z.a_t for z in signal]), np.array([z.b_t for z in signal]))
+    inferred = iter(zip(s.tolist(), centroid.tolist()))
+    return zs, [Suitability(*next(inferred)) if z else Suitability(s=0.0, s_prime_centroid=1.0)
+                for z in zs]
 
 
 def describe_rulebase() -> dict:

@@ -22,6 +22,7 @@ from zgptda.augment import (
     request_payload,
     run_augmentation,
     score_instance,
+    score_instances,
     select_augmented,
 )
 from zgptda.corpus import Document, load_jsonl
@@ -327,6 +328,44 @@ class TestRunAugmentation:
         assert not runs[0].provenance["partial"]
         assert runs[1].provenance["partial"]
         assert len(runs[1].instances) == 2  # slots 1..2 succeeded
+
+    def test_partial_batch_scored_once_and_empty_batch_not_at_all(self, monkeypatch):
+        import zgptda.augment as augment
+
+        calls = []
+
+        def recording(docs, **kwargs):
+            calls.append([d.id for d in docs])
+            return score_instances(docs, **kwargs)
+
+        monkeypatch.setattr(augment, "score_instances", recording)
+
+        class Failing(Transport):
+            transport_id = "failing"
+            mock = MockTransport(seed=4)
+
+            def complete(self, prompt, cfg, slot=0):
+                if "valve" in prompt and slot >= 2 or "seal" in prompt:
+                    raise TransportError("quota")
+                return self.mock.complete(prompt, cfg, slot=slot)
+
+        raws = [Document(id="ok", text="The pump failed."), Document(id="half", text="The valve stuck."),
+                Document(id="none", text="The seal leaked.")]
+        cfg = GenerationConfig(n_instances=4, top_fraction=0.5, seed=4, max_in_flight=1)
+        runs, err = run_augmentation(raws, cfg, Failing())
+        assert isinstance(err, PartialGeneration) and "half" in str(err)
+        assert calls == [[f"ok#gen{k}" for k in range(1, 5)], ["half#gen1", "half#gen2"]]
+        assert [r.raw.id for r in runs] == ["ok", "half"]
+        assert sorted(i.instance.id for i in runs[1].instances) == ["half#gen1", "half#gen2"]
+        assert [i.rank for i in runs[1].instances] == [1, 2]
+        assert runs[1].selected == runs[1].instances[:1]
+
+        calls.clear()
+        runs, err = run_augmentation(raws[2:], cfg, Failing())
+        assert isinstance(err, PartialGeneration) and err.instances == []
+        assert calls == []
+        assert (runs[0].instances, runs[0].selected) == ([], [])
+        assert runs[0].provenance["partial"]
 
 
 class TestCompareCorpora:

@@ -3,7 +3,7 @@
 The references below solve every fit with ``np.polyfit`` or
 ``np.linalg.lstsq``, one system at a time. The library's fits must agree with
 them to ``rel_tol=1e-9, abs_tol=1e-12`` on every float, and exactly on every
-``NotFittable`` detail, verdict, ``floored`` flag, kept q set and suitability.
+``NotFittable`` detail, verdict, ``floored`` flag, kept q set and suitability s.
 """
 
 import math
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 import zgptda.augment as augment
 import zgptda.laws as laws
-import zgptda.mfdfa as mfdfa
 from zgptda.augment import GenerationConfig, MockTransport, evaluate_corpus, score_instance
 from zgptda.corpus import Document
 from zgptda.fitkit import (
@@ -135,12 +134,27 @@ def ref_spectrum(fluct):
     )
 
 
+def one_at_a_time(solve):
+    """A batch solver that calls `solve` on each item, in place of the
+    library's ``*_many`` functions: each entry is the result or the
+    NotFittable raised."""
+    def solve_many(items):
+        results = []
+        for item in items:
+            try:
+                results.append(solve(item))
+            except NotFittable as exc:
+                results.append(exc)
+        return results
+    return solve_many
+
+
 def use_reference_engines(monkeypatch):
     """Route the pipeline's fits through the references, where it looks them up."""
-    monkeypatch.setattr(laws, "fit_loglog", ref_fit_loglog)
-    monkeypatch.setattr(laws, "fit_benford", ref_fit_benford)
-    monkeypatch.setattr(mfdfa, "fit_loglog", ref_fit_loglog)
-    monkeypatch.setattr(augment, "fluctuation", ref_fluctuation)
+    monkeypatch.setattr(laws, "fit_loglog_many", one_at_a_time(ref_fit_loglog))
+    monkeypatch.setattr(laws, "fit_benford_many", one_at_a_time(ref_fit_benford))
+    monkeypatch.setattr(augment, "fluctuation_many", lambda profiles, scales, q_grid, m=1: [
+        ref_fluctuation(prof, sc, q_grid, m) for prof, sc in zip(profiles, scales)])
     monkeypatch.setattr(augment, "spectrum", ref_spectrum)
 
 
@@ -357,7 +371,10 @@ def test_mock_suitability_matches_reference_engines(monkeypatch):
     use_reference_engines(monkeypatch)
     expected = [score_instance(d) for d in docs]
     for sc, ref in zip(actual, expected):
-        assert sc.suitability == ref.suitability
+        # the segmented sums round differently from one fit at a time, which
+        # can move the centroid's last bit; s itself must not move
+        assert sc.suitability.s == ref.suitability.s
+        assert_close(sc.suitability.s_prime_centroid, ref.suitability.s_prime_centroid)
         assert (sc.excluded_laws, sc.no_signal) == (ref.excluded_laws, ref.no_signal)
         assert_reports_match(sc.law_reports, ref.law_reports)
         if ref.z is not None:

@@ -13,7 +13,9 @@ from zgptda.fitkit import (
     FitMetrics,
     NotFittable,
     fit_benford,
+    fit_benford_many,
     fit_loglog,
+    fit_loglog_many,
     fit_metrics,
 )
 
@@ -84,6 +86,20 @@ class TestFitMetrics:
     def test_r2_constant_observed(self):
         assert fit_metrics([2.0, 2.0, 2.0], [2.0, 2.0, 2.0]).r2 == 1.0
         assert fit_metrics([2.0, 2.0, 2.0], [1.0, 2.0, 3.0]).r2 == 0.0
+
+    def test_r2_constant_up_to_rounding(self):
+        # one ulp of spread is rounding, not variance: a perfect fit has R^2 = 1
+        a = 1.75505466
+        assert fit_metrics([a, math.nextafter(a, 2.0), a], [a, a, a]).r2 == 1.0
+        assert fit_metrics([a, math.nextafter(a, 2.0), a], [a, a, 2 * a]).r2 == 0.0
+
+    @given(st.floats(min_value=1e-6, max_value=1e6), st.sampled_from([[1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 1]]))
+    def test_flat_three_point_series_fits_perfectly(self, a, pattern):
+        # the mean of three equal values need not round to that value
+        series = EmpiricalSeries(np.arange(1.0, len(pattern) + 1), a * np.array(pattern, dtype=float))
+        fit = fit_loglog(series)
+        assert fit.metrics.r2 == 1.0
+        assert fit.verdict.r2_ok
 
 
 class TestConformityVerdict:
@@ -210,3 +226,39 @@ class TestFitBenford:
     def test_wrong_shape(self):
         with pytest.raises(ValueError):
             fit_benford(np.full(8, 0.125))
+
+
+class TestBatchFits:
+    """A batch entry is exactly the fit of that series or row alone."""
+
+    @given(st.lists(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), max_size=12),
+                    max_size=6))
+    def test_loglog_batch_is_per_series(self, ys):
+        series = [EmpiricalSeries(np.arange(1.0, len(y) + 1), y, law=f"s{i}") for i, y in enumerate(ys)]
+        for fit, s in zip(fit_loglog_many(series), series, strict=True):
+            try:
+                alone = fit_loglog(s)
+            except NotFittable as exc:
+                assert isinstance(fit, NotFittable) and str(fit) == str(exc)
+                continue
+            assert (fit.exponent, fit.prefactor, fit.metrics) == (alone.exponent, alone.prefactor, alone.metrics)
+            assert np.array_equal(fit.fitted_y, alone.fitted_y)
+
+    @given(st.lists(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=9, max_size=9),
+                    min_size=0, max_size=6))
+    def test_benford_batch_is_per_row(self, rows):
+        for fit, row in zip(fit_benford_many(np.reshape(rows, (-1, 9))), rows, strict=True):
+            try:
+                alone = fit_benford(row)
+            except NotFittable as exc:
+                assert isinstance(fit, NotFittable) and str(fit) == str(exc)
+                continue
+            assert (fit.exponent, fit.secondary_exponent, fit.prefactor, fit.metrics) == (
+                alone.exponent, alone.secondary_exponent, alone.prefactor, alone.metrics)
+            assert np.array_equal(fit.fitted_y, alone.fitted_y)
+
+    def test_benford_batch_rejects_bad_rows(self):
+        with pytest.raises(ValueError):
+            fit_benford_many(np.ones((2, 8)))
+        with pytest.raises(ValueError):
+            fit_benford_many(-np.ones((1, 9)))

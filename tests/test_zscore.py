@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from zgptda.fitkit import FitMetrics
 from zgptda.zscore import (
+    Suitability,
     B_CLAMP,
     LawVector,
     NoSignal,
@@ -18,6 +19,7 @@ from zgptda.zscore import (
     grade_metric,
     infer_suitability,
     law_vector,
+    score_laws,
 )
 
 # regression anchors pinned from the independent reference implementation
@@ -55,6 +57,13 @@ class TestTriMF:
     def test_invalid_points(self):
         with pytest.raises(ValueError):
             TriMF(0.5, 0.4, 0.6)
+
+    @pytest.mark.parametrize("t", [TriMF(0.0, 0.0, 0.3), TriMF(0.2, 0.5, 0.8), TriMF(0.7, 1.0, 1.0)])
+    def test_array_is_elementwise(self, t):
+        x = np.concatenate([np.linspace(-0.5, 1.5, 401), [t.a, t.b, t.c]])
+        mu = t.membership(x)
+        assert mu.shape == x.shape
+        assert mu.tolist() == [t.membership(v) for v in x.tolist()]
 
 
 class TestGradeMetric:
@@ -194,6 +203,24 @@ class TestInferSuitability:
         s1 = infer_suitability(aggregate([law_vector(m1)]))
         s2 = infer_suitability(aggregate([law_vector(m2)]))
         assert s1.s == pytest.approx(s2.s, abs=1e-12)
+
+
+class TestScoreLaws:
+    def test_instances_match_one_at_a_time(self):
+        rows = [FitMetrics(0.99, 0.05, 0.02, 0.1), FitMetrics(0.5, 0.7, 0.3, 0.9),
+                FitMetrics(0.85, 0.2, 0.1, 0.5), FitMetrics(1.0, 0.0, 0.0, 0.0)]
+        used = [2, 0, 1, 1]
+        zs, suits = score_laws(np.array([[m.r2, m.kl, m.js, m.mape] for m in rows]), used)
+        assert zs[1] is None and suits[1] == Suitability(s=0.0, s_prime_centroid=1.0)
+        groups = [rows[0:2], [], rows[2:3], rows[3:4]]
+        for z, suit, group in zip(zs, suits, groups):
+            if group:
+                alone = aggregate([law_vector(m) for m in group])
+                assert z == alone
+                assert suit == infer_suitability(alone)
+
+    def test_no_instances(self):
+        assert score_laws(np.empty((0, 4)), []) == ([], [])
 
 
 class TestRulebaseAudit:
