@@ -42,8 +42,9 @@ _EPS = 1e-12
 
 _MIN_POINTS = 3
 
-# ulps of n * mean^2 below which an observed series' spread is rounding
-_FLAT_ULPS = 4
+# spread, as a share of n * mean^2, below which an observed series is constant
+# up to rounding: a few ulps
+_FLAT_SHARE = 4 * np.finfo(float).eps
 
 # regressors [1, d, ln d] of the first-digit model at d = 1..9, and their
 # pseudo-inverse: the least-squares coefficients of any log-frequency vector
@@ -139,8 +140,8 @@ class LawFit:
 def _segment_metrics(p: np.ndarray, q: np.ndarray, counts: np.ndarray) -> list[FitMetrics]:
     """The metrics of consecutive segments of `p` and `q` with the given
     lengths (each >= 2, each with a nonzero observed value)."""
-    starts = np.cumsum(counts) - counts
-    seg = np.repeat(np.arange(counts.size), counts)
+    starts = counts.cumsum() - counts
+    seg = np.arange(counts.size).repeat(counts)
 
     def total(v, at=starts):
         return np.add.reduceat(v, at)
@@ -150,10 +151,10 @@ def _segment_metrics(p: np.ndarray, q: np.ndarray, counts: np.ndarray) -> list[F
     ss_tot = total((p - mean[seg]) ** 2)
     # a spread below a few ulps of n * mean^2 is rounding: the series is
     # constant, and fitted when the fit matches it to the same resolution
-    resolution = _FLAT_ULPS * np.finfo(float).eps * counts * mean ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(ss_tot <= resolution, ss_res <= resolution,
-                      np.clip(1.0 - ss_res / ss_tot, 0.0, 1.0))
+    resolution = _FLAT_SHARE * counts * mean ** 2
+    flat = ss_tot <= resolution
+    explained = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_res), where=~flat)
+    r2 = np.where(flat, ss_res <= resolution, np.minimum(1.0, np.maximum(0.0, explained)))
     pn = (p + _EPS) / total(p + _EPS)[seg]
     qn = (q + _EPS) / total(q + _EPS)[seg]
     m = 0.5 * (pn + qn)
@@ -162,7 +163,7 @@ def _segment_metrics(p: np.ndarray, q: np.ndarray, counts: np.ndarray) -> list[F
                     / math.log(2.0))
     nz = p != 0
     nz_counts = total(nz.astype(np.int64))
-    mape = total(np.abs((q[nz] - p[nz]) / p[nz]), np.cumsum(nz_counts) - nz_counts) / nz_counts
+    mape = total(np.abs((q[nz] - p[nz]) / p[nz]), nz_counts.cumsum() - nz_counts) / nz_counts
     return [FitMetrics(*row) for row in zip(r2.tolist(), kl.tolist(), js.tolist(), mape.tolist())]
 
 
@@ -214,8 +215,8 @@ def fit_loglog_many(series: Sequence[EmpiricalSeries]) -> list[LawFit | NotFitta
     keep = np.concatenate([pos[i] for i in ok])
     counts = n_pos[ok]
     lengths = np.array([series[i].x.size for i in ok])
-    starts = np.cumsum(counts) - counts
-    seg = np.repeat(np.arange(len(ok)), counts)
+    starts = counts.cumsum() - counts
+    seg = np.arange(len(ok)).repeat(counts)
     lx, ly = np.log(x[keep]), np.log(y[keep])
     # centered normal equations; x is strictly increasing, so sum(dx^2) > 0
     mean_x = np.add.reduceat(lx, starts) / counts
@@ -223,12 +224,13 @@ def fit_loglog_many(series: Sequence[EmpiricalSeries]) -> list[LawFit | NotFitta
     dx = lx - mean_x[seg]
     slope = np.add.reduceat(dx * (ly - mean_y[seg]), starts) / np.add.reduceat(dx * dx, starts)
     prefactor = np.exp(mean_y - slope * mean_x)
-    full = np.repeat(np.arange(len(ok)), lengths)
+    full = np.arange(len(ok)).repeat(lengths)
     fitted = prefactor[full] * x ** slope[full]
     metrics = _segment_metrics(y[keep], fitted[keep], counts)
-    for i, k, c, fitted_y, m in zip(ok, slope.tolist(), prefactor.tolist(),
-                                    np.split(fitted, np.cumsum(lengths)[:-1]), metrics):
-        results[i] = LawFit(exponent=k, prefactor=c, fitted_y=fitted_y, metrics=m)
+    ends = lengths.cumsum().tolist()
+    for i, k, c, end, n, m in zip(ok, slope.tolist(), prefactor.tolist(), ends, lengths.tolist(),
+                                  metrics):
+        results[i] = LawFit(exponent=k, prefactor=c, fitted_y=fitted[end - n:end], metrics=m)
     return results
 
 
@@ -262,7 +264,7 @@ def fit_benford_many(freqs) -> list[LawFit | NotFittable]:
     beta = np.vecdot(np.log(np.where(f > 0, f, _EPS))[:, None, :], _BENFORD_PINV)
     fitted = np.exp(np.vecdot(beta[:, None, :], _BENFORD_DESIGN))
     fitted /= fitted.sum(axis=1, keepdims=True)
-    metrics = _segment_metrics(f.ravel(), fitted.ravel(), np.full(len(f), 9)) if len(f) else []
+    metrics = _segment_metrics(f.ravel(), fitted.ravel(), np.full(len(f), 9))
     for i, b, c, fitted_y, m in zip(np.flatnonzero(ok).tolist(), beta.tolist(),
                                     np.exp(beta[:, 0]).tolist(), fitted, metrics):
         results[i] = LawFit(exponent=-b[1], prefactor=c, fitted_y=fitted_y, metrics=m,

@@ -59,10 +59,11 @@ class TriMF:
 
 def _trimf(a, b, c, x):
     """Triangular membership of `x` in the sets with points (a, b, c), all
-    broadcast against each other: rising on (a, b), falling on (b, c), 1 at b."""
-    rising = np.divide(x - a, b - a, out=np.zeros(np.broadcast(a, b, c, x).shape),
-                       where=(x > a) & (x < b))
-    falling = np.divide(c - x, c - b, out=np.zeros_like(rising), where=(x > b) & (x < c))
+    broadcast against each other (b and c no wider than x - a): rising on
+    (a, b), falling on (b, c), 1 at b."""
+    rise = x - a
+    rising = np.divide(rise, b - a, out=np.zeros_like(rise), where=(x > a) & (x < b))
+    falling = np.divide(c - x, c - b, out=np.zeros_like(rise), where=(x > b) & (x < c))
     return np.where(x == b, 1.0, rising + falling)
 
 
@@ -114,14 +115,15 @@ def _grade(values: np.ndarray, kinds: np.ndarray):
     if not np.isfinite(values).all():
         bad = METRIC_ORDER[int(kinds[~np.isfinite(values)][0])]
         raise ValueError(f"{bad}: value must be finite")
-    a, apexes, c = np.moveaxis(_GRADE_POINTS[kinds], 2, 0)
+    points = _GRADE_POINTS[kinds]
+    a, apexes, c = points[..., 0], points[..., 1], points[..., 2]
     graded = np.where(kinds == 0, 1.0 - values, values)
     graded = np.minimum(np.maximum(graded, 0.0), apexes[:, 2])[:, None]
     degrees = _trimf(a, apexes, c, graded)
     # boundary points between adjacent sets (shared feet) carry zero
     # membership everywhere; assign the nearest set, lower on ties
     fallback = degrees.sum(axis=1) == 0.0
-    nearest = np.argmin(np.abs(graded[fallback] - apexes[fallback]), axis=1)
+    nearest = np.abs(graded[fallback] - apexes[fallback]).argmin(axis=1)
     degrees[fallback] = np.eye(3)[nearest]
     centroid = (degrees * apexes).sum(axis=1) / degrees.sum(axis=1)
     badness = (centroid - apexes[:, 0]) / (apexes[:, 2] - apexes[:, 0])
@@ -235,21 +237,24 @@ RULES: tuple[tuple[str, tuple[str, ...] | None, tuple[str, ...]], ...] = (
 )
 
 _CENTROID_GRID = np.linspace(0.0, 1.0, 1001)
+# the (a, b, c) rows of the A_t and B_t sets, transposed to (a's, b's, c's)
+_A_POINTS = _points(A_SETS.values()).T
+_B_POINTS = _points(B_SETS.values()).T
 # each S' set's membership on the centroid grid, one row per set
 _S_ON_GRID = _trimf(*_points(S_SETS.values()).T[:, :, None], _CENTROID_GRID)
 
 
 def _infer(a_t: np.ndarray, b_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Suitability s and the centroid of S' for each (A_t, B_t) pair."""
-    a_t = np.clip(a_t, 0.0, 1.0)[:, None]
-    b_t = np.clip(b_t, 0.0, B_CLAMP)[:, None]
-    mu_a = dict(zip(A_SETS, _trimf(*_points(A_SETS.values()).T, a_t).T))
-    mu_b = dict(zip(B_SETS, _trimf(*_points(B_SETS.values()).T, b_t).T))
+    a_t = np.minimum(np.maximum(a_t, 0.0), 1.0)[:, None]
+    b_t = np.minimum(np.maximum(b_t, 0.0), B_CLAMP)[:, None]
+    mu_a = dict(zip(A_SETS, _trimf(*_A_POINTS, a_t).T))
+    mu_b = dict(zip(B_SETS, _trimf(*_B_POINTS, b_t).T))
     activations = {name: np.zeros(len(a_t)) for name in S_SETS}
     for a_name, b_names, s_names in RULES:
         strength = mu_a[a_name]
         if b_names is not None:
-            strength = np.minimum(strength, np.max([mu_b[n] for n in b_names], axis=0))
+            strength = np.minimum(strength, np.maximum.reduce([mu_b[n] for n in b_names]))
         for s_name in s_names:
             activations[s_name] = np.maximum(activations[s_name], strength)
     x = _CENTROID_GRID
