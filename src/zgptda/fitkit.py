@@ -150,7 +150,7 @@ def _segment_metrics(p: np.ndarray, q: np.ndarray, counts: np.ndarray) -> list[F
     ss_res = total((p - q) ** 2)
     ss_tot = total((p - mean[seg]) ** 2)
     # a spread below a few ulps of n * mean^2 is rounding: the series is
-    # constant, and fitted when the fit matches it to the same resolution
+    # constant, with R^2 = 1 if the fit matches it to that resolution, else 0
     resolution = _FLAT_SHARE * counts * mean ** 2
     flat = ss_tot <= resolution
     explained = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_res), where=~flat)

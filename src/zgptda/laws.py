@@ -219,10 +219,10 @@ def build_all(
 ) -> list[LawReport]:
     """Build the series of all seven token-level laws, not yet fitted.
 
-    A law whose builder raises :class:`NotFittable` is reported unfittable
-    with the reason. Report order matches :data:`LAW_NAMES`.
+    A law whose series cannot be assembled (:class:`NotFittable`) is
+    reported unfittable with the reason. Report order matches :data:`LAW_NAMES`.
     """
-    builders = {
+    series_of = {
         "zipf": lambda: zipf_series(ts),
         "heaps": lambda: heaps_series(ts),
         "taylor": lambda: taylor_series(ts, segment_len),
@@ -234,7 +234,7 @@ def build_all(
     reports: list[LawReport] = []
     for law in LAW_NAMES:
         try:
-            reports.append(LawReport(law=law, series=builders[law](), fit=None, fittable=False))
+            reports.append(LawReport(law=law, series=series_of[law](), fit=None, fittable=False))
         except NotFittable as exc:
             reports.append(LawReport(law=law, series=None, fit=None, fittable=False, detail=str(exc)))
     return reports

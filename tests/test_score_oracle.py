@@ -184,11 +184,11 @@ def ref_mandelbrot_series(doc):
 
 def ref_score_instance(doc):
     ts = tokenize(doc)
-    builders = [zipf_series, heaps_series, taylor_series, hilberg_series, ebeling_series,
-                menzerath_series, benford_series]
+    series_fns = [zipf_series, heaps_series, taylor_series, hilberg_series, ebeling_series,
+                  menzerath_series, benford_series]
     reports = [ref_report(b.__name__[:-len("_series")], lambda b=b: b(ts),
                           lambda s: ref_fit_benford(s.y) if s.law == "benford" else ref_fit_loglog(s))
-               for b in builders]
+               for b in series_fns]
     reports.append(ref_report("mandelbrot", lambda: ref_mandelbrot_series(doc), ref_fit_loglog))
     vectors = []
     for r in reports:
