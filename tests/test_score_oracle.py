@@ -28,7 +28,8 @@ from zgptda.augment import (
     select_augmented,
 )
 from zgptda.corpus import Document, tokenize
-from zgptda.fitkit import _BENFORD_DESIGN, _BENFORD_PINV, EmpiricalSeries, FitMetrics, LawFit, NotFittable
+from zgptda.fitkit import (_BENFORD_DESIGN, _BENFORD_PINV, EmpiricalSeries, FitMetrics, LawFit,
+                           NotFittable)
 from zgptda.laws import (
     LawReport,
     benford_series,
@@ -263,11 +264,14 @@ def test_batch_matches_per_instance_path(texts):
 
 
 def test_mock_raw_example_matches_per_instance_path():
-    docs = [Document(id=f"r#gen{k + 1}", text=MockTransport(seed=3).complete("raw", GenerationConfig(), slot=k))
+    transport = MockTransport(seed=3)
+    docs = [Document(id=f"r#gen{k + 1}", text=transport.complete("raw", GenerationConfig(), slot=k))
             for k in range(10)]
     actual = score_instances(docs)
-    assert_same(actual, [ref_score_instance(d) for d in docs])
-    assert [s.suitability for s in actual] == [ref_score_instance(d).suitability for d in docs]
+    expected = [ref_score_instance(d) for d in docs]
+    assert_same(actual, expected)
+    # on a mock raw example no suitability moves at all
+    assert [i.suitability.s for i in actual] == [i.suitability.s for i in expected]
 
 
 @pytest.mark.parametrize("text", [
