@@ -28,11 +28,11 @@ from .corpus import Document, tokenize
 from .fitkit import EmpiricalSeries, NotFittable
 from .laws import (HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport, build_all,
                    evaluate_all, fit_reports)
-# fluctuation, mandelbrot_conformity, law_vector, aggregate and infer_suitability
-# are not called here: perfbench/instrument.py looks them up on this module
+# mandelbrot_conformity, law_vector, aggregate and infer_suitability are not
+# called here: perfbench/instrument.py looks them up on this module
 from .mfdfa import (DEFAULT_Q_GRID, EmbeddingProvider, FluctuationMatrix,  # noqa: F401
                     HashedTrigramEmbedder, MultifractalSpectrum, build_series, default_scales,
-                    fluctuation, fluctuation_many, mandelbrot_conformity, profile, spectrum)
+                    fluctuation, mandelbrot_conformity, profile, spectrum)
 from .zscore import (Suitability, ZNumber, aggregate, infer_suitability,  # noqa: F401
                      law_vector, score_laws)
 
@@ -377,30 +377,24 @@ class ScoredInstance:
 _FALLBACK_EMBEDDER = HashedTrigramEmbedder()
 
 
-def _mandelbrot_reports(
-    docs: list[Document], embedder: EmbeddingProvider, q_grid, m: int
-) -> tuple[list[LawReport], list[FluctuationMatrix]]:
-    """The multifractal law of every document, with its series F_{Q_REF}(s)
-    not yet fitted, and F_q(s) over ``q_grid`` (which must hold Q_REF) of
-    each document long enough to compute it, all from one
-    :func:`fluctuation_many` call."""
-    reports = [LawReport(law="mandelbrot", series=None, fit=None, fittable=False) for _ in docs]
-    measured, profiles, scales = [], [], []
-    for report, doc in zip(reports, docs):
-        try:
-            series = build_series(doc, embedder)
-            scales.append(default_scales(len(series)))
-        except NotFittable as exc:
-            report.detail = str(exc)
-            continue
-        measured.append(report)
-        profiles.append(profile(series))
-    flucts = fluctuation_many(profiles, scales, q_grid, m=m)
-    row = np.isclose(q_grid, Q_REF)
-    for report, fluct in zip(measured, flucts):
-        report.series = EmpiricalSeries(fluct.scales.astype(float), fluct.values[row][0],
-                                        law="mandelbrot")
-    return reports, flucts
+def _unfittable_mandelbrot(exc: NotFittable) -> LawReport:
+    return LawReport(law="mandelbrot", series=None, fit=None, fittable=False, detail=str(exc))
+
+
+def _mandelbrot_report(
+    doc: Document, embedder: EmbeddingProvider, q_grid, m: int
+) -> tuple[LawReport, FluctuationMatrix | None]:
+    """The multifractal law's report with its series F_{Q_REF}(s), not yet
+    fitted, plus F_q(s) over ``q_grid`` (which must hold Q_REF); the matrix
+    is None when the text is too short to compute it."""
+    try:
+        series = build_series(doc, embedder)
+        fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
+    except NotFittable as exc:
+        return _unfittable_mandelbrot(exc), None
+    row = fluct.values[np.isclose(fluct.q_grid, Q_REF)][0]
+    emp = EmpiricalSeries(fluct.scales.astype(float), row, law="mandelbrot")
+    return LawReport(law="mandelbrot", series=emp, fit=None, fittable=False), fluct
 
 
 def score_instances(
@@ -408,18 +402,16 @@ def score_instances(
 ) -> list[ScoredInstance]:
     """Fit all eight laws on each document and attach its suitability.
 
-    The documents are scored as one batch: the detrending basis of each
-    window size is shared, every law of every document is fitted by one
-    segmented reduction (the first-digit law by one product), graded as one
-    array and inferred on one grid. Unfittable laws are excluded from their
-    instance's aggregation (the Z-number mean renormalizes over the rest) and
-    listed in ``excluded_laws``. An instance with zero fittable laws is
-    flagged ``no_signal`` and scored 0.
+    The documents are scored as one batch: the log-log laws of every
+    document are fitted by one segmented reduction, and all fitted laws are
+    graded as one array and inferred on one grid. Unfittable laws are
+    excluded from their instance's aggregation (the Z-number mean
+    renormalizes over the rest) and listed in ``excluded_laws``. An instance
+    with zero fittable laws is flagged ``no_signal`` and scored 0.
     """
-    law_reports = [build_all(tokenize(doc)) for doc in docs]
-    mandelbrot, _ = _mandelbrot_reports(docs, embedder or _FALLBACK_EMBEDDER, (Q_REF,), m=1)
-    for reports, report in zip(law_reports, mandelbrot):
-        reports.append(report)
+    embedder = embedder or _FALLBACK_EMBEDDER
+    law_reports = [build_all(tokenize(doc)) + [_mandelbrot_report(doc, embedder, (Q_REF,), 1)[0]]
+                   for doc in docs]
     fit_reports([r for reports in law_reports for r in reports])
     metrics = [[r.fit.metrics for r in reports if r.fittable] for reports in law_reports]
     zs, suits = score_laws(np.array([(m.r2, m.kl, m.js, m.mape) for ms in metrics for m in ms]),
@@ -605,17 +597,16 @@ def evaluate_corpus(
     ts = tokenize(merged)
     reports = evaluate_all(ts, segment_len=segment_len, max_block=max_block)
     q_grid = DEFAULT_Q_GRID if with_spectrum else (Q_REF,)
-    [mandelbrot], flucts = _mandelbrot_reports(
-        [merged], embedder or _FALLBACK_EMBEDDER, q_grid, m=detrend_order
+    mandelbrot, fluct = _mandelbrot_report(
+        merged, embedder or _FALLBACK_EMBEDDER, q_grid, m=detrend_order
     )
     fit_reports([mandelbrot])
     spec = None
-    if with_spectrum and flucts:
+    if with_spectrum and fluct is not None:
         try:
-            spec = spectrum(flucts[0])
+            spec = spectrum(fluct)
         except NotFittable as exc:
-            mandelbrot = LawReport(law="mandelbrot", series=None, fit=None, fittable=False,
-                                   detail=str(exc))
+            mandelbrot = _unfittable_mandelbrot(exc)
     reports.append(mandelbrot)
     return CorpusEvaluation(
         name=name,

@@ -24,7 +24,6 @@ __all__ = [
     "fit_loglog",
     "fit_loglog_many",
     "fit_benford",
-    "fit_benford_many",
     "R2_MIN",
     "KL_MAX",
     "JS_MAX",
@@ -42,9 +41,9 @@ _EPS = 1e-12
 
 _MIN_POINTS = 3
 
-# spread, as a share of n * mean^2, below which an observed series is constant
-# up to rounding: a few ulps
-_FLAT_SHARE = 4 * np.finfo(float).eps
+# RMS deviation from the mean, relative to the mean, up to which an observed
+# series is constant up to rounding: 16 ulps
+_FLAT_ULPS = 16 * np.finfo(float).eps
 
 # regressors [1, d, ln d] of the first-digit model at d = 1..9, and their
 # pseudo-inverse: the least-squares coefficients of any log-frequency vector
@@ -137,41 +136,47 @@ class LawFit:
         return ConformityVerdict.from_metrics(self.metrics)
 
 
+def _segments(counts: np.ndarray):
+    """For an array cut into consecutive segments of lengths `counts` (each
+    >= 1): a function giving the sum of each segment, rounded as ``np.sum``
+    of that segment alone, and one spreading a value per segment over the
+    segment's entries. ``reduceat`` adds the pairwise sum of a segment's tail
+    to its first entry, so each segment is summed laid out after a zero."""
+    if counts.size == 1:
+        return (lambda v: np.add.reduce(v, keepdims=True)), (lambda v: v)
+    seg = np.arange(counts.size).repeat(counts)
+    at = counts.cumsum() - counts + np.arange(counts.size)
+    places = np.arange(seg.size) + seg + 1
+    laid_out = np.zeros(seg.size + counts.size)
+
+    def total(v):
+        laid_out[places] = v
+        return np.add.reduceat(laid_out, at)
+    return total, lambda v: v[seg]
+
+
 def _segment_metrics(p: np.ndarray, q: np.ndarray, counts: np.ndarray) -> list[FitMetrics]:
     """The metrics of consecutive segments of `p` and `q` with the given
     lengths (each >= 2, each with a nonzero observed value)."""
-    starts = counts.cumsum() - counts
-    seg = np.arange(counts.size).repeat(counts)
-
-    def total(v, at=starts):
-        return np.add.reduceat(v, at)
-
+    total, spread = _segments(counts)
     mean = total(p) / counts
     ss_res = total((p - q) ** 2)
-    ss_tot = total((p - mean[seg]) ** 2)
-    # a spread below a few ulps of n * mean^2 is rounding: the series is
-    # constant, with R^2 = 1 if the fit matches it to that resolution, else 0
-    resolution = _FLAT_SHARE * counts * mean ** 2
+    ss_tot = total((p - spread(mean)) ** 2)
+    # a series whose RMS deviation from its mean is within _FLAT_ULPS of it is
+    # constant up to rounding: R^2 is 1 if the fit matches it that closely, else 0
+    resolution = counts * (_FLAT_ULPS * mean) ** 2
     flat = ss_tot <= resolution
-    explained = 1.0 - np.divide(ss_res, ss_tot, out=np.zeros_like(ss_res), where=~flat)
-    r2 = np.where(flat, ss_res <= resolution, np.minimum(1.0, np.maximum(0.0, explained)))
-    pn = (p + _EPS) / total(p + _EPS)[seg]
-    qn = (q + _EPS) / total(q + _EPS)[seg]
+    r2 = np.where(flat, ss_res <= resolution, 1.0 - ss_res / np.where(flat, 1.0, ss_tot))
+    p_eps, q_eps = p + _EPS, q + _EPS
+    pn, qn = p_eps / spread(total(p_eps)), q_eps / spread(total(q_eps))
     m = 0.5 * (pn + qn)
-    kl = np.maximum(0.0, total(pn * np.log(pn / qn)))
-    js = np.maximum(0.0, (0.5 * total(pn * np.log(pn / m)) + 0.5 * total(qn * np.log(qn / m)))
-                    / math.log(2.0))
+    kl = total(pn * np.log(pn / qn))
+    js = (0.5 * total(pn * np.log(pn / m)) + 0.5 * total(qn * np.log(qn / m))) / math.log(2.0)
     nz = p != 0
-    nz_counts = total(nz.astype(np.int64))
-    mape = total(np.abs((q[nz] - p[nz]) / p[nz]), nz_counts.cumsum() - nz_counts) / nz_counts
-    return [FitMetrics(*row) for row in zip(r2.tolist(), kl.tolist(), js.tolist(), mape.tolist())]
-
-
-def _one(result):
-    """The entry of a one-item batch, raised if it is a NotFittable."""
-    if isinstance(result, NotFittable):
-        raise result
-    return result
+    nz_counts = np.add.reduceat(nz, counts.cumsum() - counts)
+    mape = _segments(nz_counts)[0](np.abs((q[nz] - p[nz]) / p[nz])) / nz_counts
+    return [FitMetrics(r2=min(1.0, max(0.0, a)), kl=max(0.0, b), js=max(0.0, c), mape=d)
+            for a, b, c, d in zip(r2.tolist(), kl.tolist(), js.tolist(), mape.tolist())]
 
 
 def fit_metrics(observed, fitted) -> FitMetrics:
@@ -181,9 +186,9 @@ def fit_metrics(observed, fitted) -> FitMetrics:
     observed == 0); KL and JS are computed on the two series normalized to
     probability vectors after additive epsilon smoothing. JS uses the
     symmetric midpoint form in natural log, divided by ln 2 so it lies in
-    [0, 1]. An observed series whose spread is below a few ulps of
-    n * mean^2 is constant: R^2 is 1 if the fit matches it to that
-    resolution and 0 otherwise.
+    [0, 1]. An observed series whose RMS deviation from its mean is within
+    16 ulps of the mean is constant: R^2 is 1 if the fit's RMS error is
+    within that too, and 0 otherwise.
     """
     p = np.asarray(observed, dtype=float)
     q = np.asarray(fitted, dtype=float)
@@ -203,33 +208,30 @@ def fit_loglog_many(series: Sequence[EmpiricalSeries]) -> list[LawFit | NotFitta
     their concatenated positive supports. A series that cannot be fitted has
     the :class:`NotFittable` it raises alone in its place."""
     pos = [s.y > 0 for s in series]
-    n_pos = np.array([np.count_nonzero(mask) for mask in pos], dtype=np.int64)
-    results = [None if n >= _MIN_POINTS else
-               NotFittable(f"{s.law or 'series'}: {n} positive points, need {_MIN_POINTS}")
-               for s, n in zip(series, n_pos.tolist())]
+    n_pos = [int(np.count_nonzero(mask)) for mask in pos]
+    results = [NotFittable(f"{s.law or 'series'}: {n} positive points, need {_MIN_POINTS}")
+               if n < _MIN_POINTS else None for s, n in zip(series, n_pos)]
     ok = [i for i, r in enumerate(results) if r is None]
     if not ok:
         return results
     x = np.concatenate([series[i].x for i in ok])
-    y = np.concatenate([series[i].y for i in ok])
     keep = np.concatenate([pos[i] for i in ok])
-    counts = n_pos[ok]
+    y = np.concatenate([series[i].y for i in ok])[keep]
+    counts = np.array([n_pos[i] for i in ok])
     lengths = np.array([series[i].x.size for i in ok])
-    starts = counts.cumsum() - counts
-    seg = np.arange(len(ok)).repeat(counts)
-    lx, ly = np.log(x[keep]), np.log(y[keep])
-    # centered normal equations; x is strictly increasing, so sum(dx^2) > 0
-    mean_x = np.add.reduceat(lx, starts) / counts
-    mean_y = np.add.reduceat(ly, starts) / counts
-    dx = lx - mean_x[seg]
-    slope = np.add.reduceat(dx * (ly - mean_y[seg]), starts) / np.add.reduceat(dx * dx, starts)
+    total, spread = _segments(counts)
+    # centered normal equations; x is strictly increasing, so dx @ dx > 0. The
+    # products are taken per series, so they round as for that series alone
+    lx, ly = np.log(x[keep]), np.log(y)
+    mean_x, mean_y = total(lx) / counts, total(ly) / counts
+    dx, dy = lx - spread(mean_x), ly - spread(mean_y)
+    bounds = [(end - n, end) for end, n in zip(counts.cumsum().tolist(), counts.tolist())]
+    slope = np.array([dx[a:b] @ dy[a:b] / (dx[a:b] @ dx[a:b]) for a, b in bounds])
     prefactor = np.exp(mean_y - slope * mean_x)
-    full = np.arange(len(ok)).repeat(lengths)
-    fitted = prefactor[full] * x ** slope[full]
-    metrics = _segment_metrics(y[keep], fitted[keep], counts)
-    ends = lengths.cumsum().tolist()
-    for i, k, c, end, n, m in zip(ok, slope.tolist(), prefactor.tolist(), ends, lengths.tolist(),
-                                  metrics):
+    fitted = prefactor.repeat(lengths) * x ** slope.repeat(lengths)
+    metrics = _segment_metrics(y, fitted[keep], counts)
+    for i, k, c, end, n, m in zip(ok, slope.tolist(), prefactor.tolist(),
+                                  lengths.cumsum().tolist(), lengths.tolist(), metrics):
         results[i] = LawFit(exponent=k, prefactor=c, fitted_y=fitted[end - n:end], metrics=m)
     return results
 
@@ -244,32 +246,10 @@ def fit_loglog(series: EmpiricalSeries) -> LawFit:
     Raises:
         NotFittable: fewer than 3 positive points.
     """
-    return _one(fit_loglog_many([series])[0])
-
-
-def fit_benford_many(freqs) -> list[LawFit | NotFittable]:
-    """:func:`fit_benford` of every row of a (k, 9) frequency array, as one
-    product with the design's pseudo-inverse. A row that cannot be fitted
-    has the :class:`NotFittable` it raises alone in its place."""
-    f = np.asarray(freqs, dtype=float)
-    if f.ndim != 2 or f.shape[1] != 9:
-        raise ValueError("expected 9 digit frequencies (digits 1..9)")
-    if np.any(f < 0):
-        raise ValueError("frequencies must be nonnegative")
-    ok = np.any(f > 0, axis=1)
-    results = [None if row_ok else NotFittable("benford: all digit frequencies are zero")
-               for row_ok in ok.tolist()]
-    f = f[ok]
-    # row by row, so that a row's fit does not depend on the rows beside it
-    beta = np.vecdot(np.log(np.where(f > 0, f, _EPS))[:, None, :], _BENFORD_PINV)
-    fitted = np.exp(np.vecdot(beta[:, None, :], _BENFORD_DESIGN))
-    fitted /= fitted.sum(axis=1, keepdims=True)
-    metrics = _segment_metrics(f.ravel(), fitted.ravel(), np.full(len(f), 9))
-    for i, b, c, fitted_y, m in zip(np.flatnonzero(ok).tolist(), beta.tolist(),
-                                    np.exp(beta[:, 0]).tolist(), fitted, metrics):
-        results[i] = LawFit(exponent=-b[1], prefactor=c, fitted_y=fitted_y, metrics=m,
-                            secondary_exponent=b[2] + 1.0)
-    return results
+    [fit] = fit_loglog_many([series])
+    if isinstance(fit, NotFittable):
+        raise fit
+    return fit
 
 
 def fit_benford(freqs) -> LawFit:
@@ -286,6 +266,25 @@ def fit_benford(freqs) -> LawFit:
     Raises:
         NotFittable: all nine frequencies are zero.
     """
-    if np.shape(freqs) != (9,):
+    f = np.asarray(freqs, dtype=float)
+    if f.shape != (9,):
         raise ValueError("expected 9 digit frequencies (digits 1..9)")
-    return _one(fit_benford_many([freqs])[0])
+    if np.any(f < 0):
+        raise ValueError("frequencies must be nonnegative")
+    if not np.any(f > 0):
+        raise NotFittable("benford: all digit frequencies are zero")
+
+    smoothed = np.where(f > 0, f, _EPS)
+    beta = _BENFORD_PINV @ np.log(smoothed)
+    kappa = float(-beta[1])
+    omega = float(beta[2] + 1.0)
+    fitted = np.exp(_BENFORD_DESIGN @ beta)
+    fitted = fitted / fitted.sum()
+    metrics = fit_metrics(f, fitted)
+    return LawFit(
+        exponent=kappa,
+        prefactor=float(np.exp(beta[0])),
+        fitted_y=fitted,
+        metrics=metrics,
+        secondary_exponent=omega,
+    )

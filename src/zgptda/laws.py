@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import TokenStream, first_digits
-# fit_loglog and fit_benford are not called here: perfbench/instrument.py
-# looks them up on this module
+# fit_loglog is not called here: perfbench/instrument.py looks it up on this module
 from .fitkit import (EmpiricalSeries, LawFit, NotFittable, fit_benford,  # noqa: F401
-                     fit_benford_many, fit_loglog, fit_loglog_many)
+                     fit_loglog, fit_loglog_many)
 
 __all__ = [
     "LAW_NAMES",
@@ -243,17 +242,17 @@ def build_all(
 def fit_reports(reports: list[LawReport]) -> list[LawReport]:
     """Fit the series of every report in place and return the reports.
 
-    The first-digit series are fitted as one product and all others as one
-    segmented log-log reduction, whichever text or law they come from. A
-    series the regression rejects leaves its report unfittable with the
-    reason.
+    All log-log series, whichever text or law they come from, are fitted as
+    one segmented reduction and each first-digit series on its own. A series
+    the regression rejects leaves its report unfittable with the reason.
     """
     built = [r for r in reports if r.series is not None]
-    loglog = [r for r in built if r.law != "benford"]
-    benford = [r for r in built if r.law == "benford"]
-    fits = fit_loglog_many([r.series for r in loglog]) + fit_benford_many(
-        np.reshape([r.series.y for r in benford], (-1, 9)))
-    for report, fit in zip(loglog + benford, fits):
+    loglog = iter(fit_loglog_many([r.series for r in built if r.law != "benford"]))
+    for report in built:
+        try:
+            fit = fit_benford(report.series.y) if report.law == "benford" else next(loglog)
+        except NotFittable as exc:
+            fit = exc
         if isinstance(fit, NotFittable):
             report.detail = str(fit)
         else:

@@ -40,7 +40,6 @@ __all__ = [
     "profile",
     "default_scales",
     "fluctuation",
-    "fluctuation_many",
     "spectrum",
     "mandelbrot_conformity",
     "run_mfdfa",
@@ -296,53 +295,6 @@ def default_scales(n: int) -> np.ndarray:
     return np.unique(np.round(np.geomspace(MIN_SCALE, n // 4, N_SCALES)).astype(int))
 
 
-def fluctuation_many(profiles, scales, q_grid, m: int = 1) -> list[FluctuationMatrix]:
-    """:func:`fluctuation` of each profile over its own scales, taking the
-    basis of each window size once and every F_q(s) from one reduction."""
-    profiles = [np.asarray(prof, dtype=float) for prof in profiles]
-    scales = [np.asarray(sc, dtype=int) for sc in scales]
-    q_grid = np.asarray(q_grid, dtype=float)
-    for prof, sc in zip(profiles, scales):
-        if sc.size == 0 or q_grid.size == 0:
-            raise ValueError("scales and q_grid must be non-empty")
-        if np.any(sc < MIN_SCALE) or np.any(sc > prof.size // 4):
-            raise ValueError(f"scales must satisfy {MIN_SCALE} <= s <= n//4 = {prof.size // 4}")
-        if np.any(np.diff(sc) <= 0):
-            raise ValueError("scales must be strictly increasing")
-    if m < 1:
-        raise ValueError("detrend order must be >= 1")
-    if not profiles:
-        return []
-
-    bases, f2 = {}, []
-    for prof, sc in zip(profiles, scales):
-        n = prof.size
-        for s in sc.tolist():
-            if s not in bases:
-                # orthonormal basis of the order-m polynomials on a window
-                bases[s] = np.linalg.qr(np.vander(np.arange(s, dtype=float), m + 1))[0]
-            n_win = n // s
-            windows = np.concatenate([prof[: n_win * s], prof[n - n_win * s:]]).reshape(2 * n_win, s)
-            # each window's residual is what its projection onto the basis leaves
-            resid = windows - (windows @ bases[s]) @ bases[s].T
-            f2.append(np.einsum("ij,ij->i", resid, resid) / s)
-    f2 = np.concatenate(f2)
-    # the windows of the j-th (profile, scale) pair are counts[j] entries of f2 from starts[j]
-    counts = np.concatenate([2 * (prof.size // sc) for prof, sc in zip(profiles, scales)])
-    starts = np.cumsum(counts) - counts
-    floored = np.add.reduceat(f2 < _F2_FLOOR, starts)
-    f2 = np.maximum(f2, _F2_FLOOR)
-    values = np.empty((q_grid.size, counts.size))
-    zero = q_grid == 0.0
-    q = q_grid[~zero, None]
-    values[~zero] = (np.add.reduceat(f2 ** (q / 2.0), starts, axis=1) / counts) ** (1.0 / q)
-    values[zero] = np.exp(0.5 * np.add.reduceat(np.log(f2), starts) / counts)
-    ends = np.cumsum([sc.size for sc in scales]).tolist()
-    return [FluctuationMatrix(values=values[:, end - sc.size:end], q_grid=q_grid, scales=sc,
-                              floored=bool(floored[end - sc.size:end].any()))
-            for sc, end in zip(scales, ends)]
-
-
 def fluctuation(prof, scales, q_grid, m: int = 1) -> FluctuationMatrix:
     """Compute F_q(s) over the scale and q grids.
 
@@ -353,7 +305,40 @@ def fluctuation(prof, scales, q_grid, m: int = 1) -> FluctuationMatrix:
     order q/2, with the q = 0 case as exp(mean(0.5 * ln F2)). The scales
     must be strictly increasing and lie in [16, n // 4].
     """
-    return fluctuation_many([prof], [scales], q_grid, m)[0]
+    prof = np.asarray(prof, dtype=float)
+    scales = np.asarray(scales, dtype=int)
+    q_grid = np.asarray(q_grid, dtype=float)
+    n = prof.size
+    if scales.size == 0 or q_grid.size == 0:
+        raise ValueError("scales and q_grid must be non-empty")
+    if np.any(scales < MIN_SCALE) or np.any(scales > n // 4):
+        raise ValueError(f"scales must satisfy {MIN_SCALE} <= s <= n//4 = {n // 4}")
+    if np.any(np.diff(scales) <= 0):
+        raise ValueError("scales must be strictly increasing")
+    if m < 1:
+        raise ValueError("detrend order must be >= 1")
+
+    f2 = []
+    for s in scales.tolist():
+        n_win = n // s
+        windows = np.concatenate([prof[: n_win * s], prof[n - n_win * s:]]).reshape(2 * n_win, s)
+        # orthonormal basis of the order-m polynomials on a window; each
+        # window's residual is what its projection onto them leaves
+        basis, _ = np.linalg.qr(np.vander(np.arange(s, dtype=float), m + 1))
+        resid = windows - (windows @ basis) @ basis.T
+        f2.append(np.einsum("ij,ij->i", resid, resid) / s)
+    f2 = np.concatenate(f2)
+    floored = bool(np.any(f2 < _F2_FLOOR))
+    f2 = np.maximum(f2, _F2_FLOOR)
+    # the windows of scale j are the counts[j] entries of f2 from starts[j]
+    counts = 2 * (n // scales)
+    starts = np.cumsum(counts) - counts
+    values = np.empty((q_grid.size, scales.size))
+    zero = q_grid == 0.0
+    q = q_grid[~zero, None]
+    values[~zero] = (np.add.reduceat(f2 ** (q / 2.0), starts, axis=1) / counts) ** (1.0 / q)
+    values[zero] = np.exp(0.5 * np.add.reduceat(np.log(f2), starts) / counts)
+    return FluctuationMatrix(values=values, q_grid=q_grid, scales=scales, floored=floored)
 
 
 def spectrum(fluct: FluctuationMatrix) -> MultifractalSpectrum:

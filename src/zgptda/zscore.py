@@ -51,10 +51,8 @@ class TriMF:
         if not (self.a <= self.b <= self.c):
             raise ValueError(f"invalid trimf points ({self.a}, {self.b}, {self.c})")
 
-    def membership(self, x):
-        """Membership of `x`, a number or an array of them."""
-        mu = _trimf(self.a, self.b, self.c, np.asarray(x, dtype=float))
-        return mu if mu.ndim else float(mu)
+    def membership(self, x: float) -> float:
+        return float(_trimf(self.a, self.b, self.c, np.float64(x)))
 
 
 def _trimf(a, b, c, x):
@@ -107,6 +105,7 @@ class MetricGrade:
 
 # (a, b, c) of the Low, Medium and High sets of each metric, in METRIC_ORDER
 _GRADE_POINTS = np.array([_points(GRADE_TABLES[kind]) for kind in METRIC_ORDER])
+_KINDS = np.arange(len(METRIC_ORDER))
 
 
 def _grade(values: np.ndarray, kinds: np.ndarray):
@@ -141,11 +140,9 @@ def grade_metric(metric_kind: str, value: float) -> MetricGrade:
     """
     if metric_kind not in GRADE_TABLES:
         raise ValueError(f"unknown metric kind {metric_kind!r}")
-    degrees, badness, fallback = _grade(
-        np.array([value], dtype=float), np.array([METRIC_ORDER.index(metric_kind)]))
-    low, medium, high = degrees[0].tolist()
-    return MetricGrade(low=low, medium=medium, high=high, badness=float(badness[0]),
-                       fallback=bool(fallback[0]))
+    degrees, badness, fallback = _grade(np.array([float(value)]),
+                                        np.array([METRIC_ORDER.index(metric_kind)]))
+    return MetricGrade(*degrees[0].tolist(), badness=float(badness[0]), fallback=bool(fallback[0]))
 
 
 @dataclass
@@ -157,17 +154,10 @@ class LawVector:
     reliability: float
 
 
-def _law_vectors(metrics: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Badness rows (N, 4) and reliabilities (N,) of metric rows (N, 4)."""
-    kinds = np.tile(np.arange(len(METRIC_ORDER)), len(metrics))
-    badness = _grade(metrics.ravel(), kinds)[1].reshape(metrics.shape)
-    return badness, badness.std(axis=1)
-
-
 def law_vector(metrics: FitMetrics) -> LawVector:
-    badness, reliability = _law_vectors(
-        np.array([[metrics.r2, metrics.kl, metrics.js, metrics.mape]], dtype=float))
-    return LawVector(badness=badness[0], reliability=float(reliability[0]))
+    badness = _grade(np.array([metrics.r2, metrics.kl, metrics.js, metrics.mape], dtype=float),
+                     _KINDS)[1]
+    return LawVector(badness=badness, reliability=float(badness.std()))
 
 
 @dataclass(frozen=True)
@@ -289,7 +279,9 @@ def score_laws(metrics: np.ndarray,
     on one grid. An instance with no law gets ``None`` for its Z-number and
     the no-signal suitability s = 0.
     """
-    zs = _znumbers(*_law_vectors(metrics.reshape(-1, len(METRIC_ORDER))), used)
+    rows = metrics.reshape(-1, len(_KINDS))
+    badness = _grade(rows.ravel(), np.tile(_KINDS, len(rows)))[1].reshape(rows.shape)
+    zs = _znumbers(badness, badness.std(axis=1), used)
     signal = [z for z in zs if z is not None]
     s, centroid = _infer(np.array([z.a_t for z in signal]), np.array([z.b_t for z in signal]))
     inferred = iter(zip(s.tolist(), centroid.tolist()))

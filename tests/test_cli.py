@@ -94,8 +94,8 @@ class TestOutputsPinned:
         assert tree_sha256(out, grid) == COMPARE_SHA256
 
 
-ANALYZE_SHA256 = "e84b21b4a4513287a44c39ccc8182b781997ae034353df0e51bde96492ddcc2f"
-COMPARE_SHA256 = "3cbd8fb1381c16e8d5009dc2f365ba55cb62e37d3a94769d087150d7ccce57c4"
+ANALYZE_SHA256 = "3b3419072cedf230c05a29ea3d7704919969bfafbf57a7f93386bf4507b0d836"
+COMPARE_SHA256 = "1a98d43174791d33aac76cfdd72627fadce7a8ec878f3ee41b5b7c3d57b9f5fe"
 
 
 class TestCompare:

@@ -3,7 +3,7 @@
 The references below solve every fit with ``np.polyfit`` or
 ``np.linalg.lstsq``, one system at a time. The library's fits must agree with
 them to ``rel_tol=1e-9, abs_tol=1e-12`` on every float, and exactly on every
-``NotFittable`` detail, verdict, ``floored`` flag, kept q set and suitability s.
+``NotFittable`` detail, verdict, ``floored`` flag, kept q set and suitability.
 """
 
 import math
@@ -152,9 +152,8 @@ def one_at_a_time(solve):
 def use_reference_engines(monkeypatch):
     """Route the pipeline's fits through the references, where it looks them up."""
     monkeypatch.setattr(laws, "fit_loglog_many", one_at_a_time(ref_fit_loglog))
-    monkeypatch.setattr(laws, "fit_benford_many", one_at_a_time(ref_fit_benford))
-    monkeypatch.setattr(augment, "fluctuation_many", lambda profiles, scales, q_grid, m=1: [
-        ref_fluctuation(prof, sc, q_grid, m) for prof, sc in zip(profiles, scales)])
+    monkeypatch.setattr(laws, "fit_benford", ref_fit_benford)
+    monkeypatch.setattr(augment, "fluctuation", ref_fluctuation)
     monkeypatch.setattr(augment, "spectrum", ref_spectrum)
 
 
@@ -371,10 +370,7 @@ def test_mock_suitability_matches_reference_engines(monkeypatch):
     use_reference_engines(monkeypatch)
     expected = [score_instance(d) for d in docs]
     for sc, ref in zip(actual, expected):
-        # the segmented sums round differently from one fit at a time, which
-        # can move the centroid's last bit; s itself must not move
-        assert sc.suitability.s == ref.suitability.s
-        assert_close(sc.suitability.s_prime_centroid, ref.suitability.s_prime_centroid)
+        assert sc.suitability == ref.suitability
         assert (sc.excluded_laws, sc.no_signal) == (ref.excluded_laws, ref.no_signal)
         assert_reports_match(sc.law_reports, ref.law_reports)
         if ref.z is not None:

@@ -13,7 +13,6 @@ from zgptda.fitkit import (
     FitMetrics,
     NotFittable,
     fit_benford,
-    fit_benford_many,
     fit_loglog,
     fit_loglog_many,
     fit_metrics,
@@ -92,6 +91,19 @@ class TestFitMetrics:
         a = 1.75505466
         assert fit_metrics([a, math.nextafter(a, 2.0), a], [a, a, a]).r2 == 1.0
         assert fit_metrics([a, math.nextafter(a, 2.0), a], [a, a, 2 * a]).r2 == 0.0
+
+    @pytest.mark.parametrize("a", [1.0, 3.7e-4, 2.9e5])
+    def test_r2_flat_band_is_16_ulps_rms(self, a):
+        # the constant fit at the mean reads R^2 = 1 while the RMS deviation
+        # is within 16 ulps of the mean (a spike of up to ~34 ulps in three
+        # points), and R^2 = 0 beyond it
+        eps = np.finfo(float).eps
+        for ulps, r2 in ((30, 1.0), (40, 0.0)):
+            p = [a, a + ulps * eps * a, a]
+            assert fit_metrics(p, [np.mean(p)] * 3).r2 == r2
+
+    def test_r2_relative_spread_far_above_rounding_is_not_flat(self):
+        assert fit_metrics([1.0, 1.0 + 1e-8, 1.0], [1.0, 1.0, 1.0]).r2 == 0.0
 
     @given(st.floats(min_value=1e-6, max_value=1e6), st.sampled_from([[1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 1]]))
     def test_flat_three_point_series_fits_perfectly(self, a, pattern):
@@ -229,7 +241,7 @@ class TestFitBenford:
 
 
 class TestBatchFits:
-    """A batch entry is exactly the fit of that series or row alone."""
+    """A batch entry is exactly the fit of that series alone."""
 
     @given(st.lists(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), max_size=12),
                     max_size=6))
@@ -243,22 +255,3 @@ class TestBatchFits:
                 continue
             assert (fit.exponent, fit.prefactor, fit.metrics) == (alone.exponent, alone.prefactor, alone.metrics)
             assert np.array_equal(fit.fitted_y, alone.fitted_y)
-
-    @given(st.lists(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=9, max_size=9),
-                    min_size=0, max_size=6))
-    def test_benford_batch_is_per_row(self, rows):
-        for fit, row in zip(fit_benford_many(np.reshape(rows, (-1, 9))), rows, strict=True):
-            try:
-                alone = fit_benford(row)
-            except NotFittable as exc:
-                assert isinstance(fit, NotFittable) and str(fit) == str(exc)
-                continue
-            assert (fit.exponent, fit.secondary_exponent, fit.prefactor, fit.metrics) == (
-                alone.exponent, alone.secondary_exponent, alone.prefactor, alone.metrics)
-            assert np.array_equal(fit.fitted_y, alone.fitted_y)
-
-    def test_benford_batch_rejects_bad_rows(self):
-        with pytest.raises(ValueError):
-            fit_benford_many(np.ones((2, 8)))
-        with pytest.raises(ValueError):
-            fit_benford_many(-np.ones((1, 9)))

@@ -16,7 +16,6 @@ from zgptda.mfdfa import (
     build_series,
     default_scales,
     fluctuation,
-    fluctuation_many,
     mandelbrot_conformity,
     profile,
     run_mfdfa,
@@ -193,21 +192,6 @@ class TestFluctuation:
         prof = profile(ScalarSeries(np.random.default_rng(3).standard_normal(256), "t"))
         with pytest.raises(ValueError, match="strictly increasing"):
             fluctuation(prof, scales, [2.0])
-
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_batch_is_per_profile(self, m):
-        rng = np.random.default_rng(11)
-        profs = [np.cumsum(rng.standard_normal(n)) for n in (64, 200, 333, 200)]
-        profs[3][:40] = 0.0  # floored windows in one profile only
-        scales = [default_scales(p.size) for p in profs]
-        batch = fluctuation_many(profs, scales, DEFAULT_Q_GRID, m=m)
-        for fluct, prof, sc in zip(batch, profs, scales, strict=True):
-            alone = fluctuation(prof, sc, DEFAULT_Q_GRID, m=m)
-            assert fluct.floored == alone.floored
-            assert np.array_equal(fluct.scales, alone.scales)
-            assert np.array_equal(fluct.values, alone.values)
-        assert [f.floored for f in batch] == [False, False, False, True]
-        assert fluctuation_many([], [], DEFAULT_Q_GRID) == []
 
 
 class TestSpectrum:

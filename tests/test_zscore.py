@@ -58,13 +58,6 @@ class TestTriMF:
         with pytest.raises(ValueError):
             TriMF(0.5, 0.4, 0.6)
 
-    @pytest.mark.parametrize("t", [TriMF(0.0, 0.0, 0.3), TriMF(0.2, 0.5, 0.8), TriMF(0.7, 1.0, 1.0)])
-    def test_array_is_elementwise(self, t):
-        x = np.concatenate([np.linspace(-0.5, 1.5, 401), [t.a, t.b, t.c]])
-        mu = t.membership(x)
-        assert mu.shape == x.shape
-        assert mu.tolist() == [t.membership(v) for v in x.tolist()]
-
 
 class TestGradeMetric:
     def test_paper_breakpoint_medium(self):
