@@ -42,6 +42,20 @@ class TestFitMetrics:
         assert m.kl == pytest.approx(scipy_entropy(p, q), rel=1e-9)
         assert m.js == pytest.approx(jensenshannon(p, q, base=2) ** 2, rel=1e-6)
 
+    @pytest.mark.parametrize("observed, fitted", [
+        # raw KL of -9.1e-17 and raw JS of -1.8e-17: rounding below zero
+        ([0.2797867137638703, 0.05097352393619469, 0.026527635528529096, 0.8232702392002724,
+          0.9227555772777217, 0.6166357757671799, 0.7394965609839984, 0.5536249914654229,
+          0.9450724237877682, 0.8258535541215322],
+         [0.2797867137638704, 0.050973523936194705, 0.026527635528529086, 0.8232702392002722,
+          0.9227555772777222, 0.6166357757671799, 0.7394965609839981, 0.553624991465423,
+          0.9450724237877685, 0.8258535541215325]),
+        ([0.13428327649956395, 0.6806244146936303], [0.13428327649956395, 0.6806244146936304]),
+    ])
+    def test_divergences_of_near_identical_series_are_not_negative(self, observed, fitted):
+        m = fit_metrics(observed, fitted)
+        assert m.kl >= 0.0 and m.js >= 0.0
+
     def test_mape_skips_zero_observed(self):
         m = fit_metrics([0.0, 1.0, 2.0], [5.0, 1.5, 2.0])
         assert m.mape == pytest.approx((0.5 + 0.0) / 2)

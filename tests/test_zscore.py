@@ -169,6 +169,7 @@ class TestInferSuitability:
     def test_clamping(self):
         assert infer_suitability(ZNumber(1.7, 0.0, 1)).s == pytest.approx(S_WORST, abs=1e-12)
         assert infer_suitability(ZNumber(-0.2, -1.0, 1)).s == pytest.approx(S_PERFECT, abs=1e-12)
+        assert infer_suitability(ZNumber(0.1, 0.9, 1)) == infer_suitability(ZNumber(0.1, B_CLAMP, 1))
 
     @given(
         st.floats(min_value=0.0, max_value=1.0),
