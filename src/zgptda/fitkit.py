@@ -162,11 +162,7 @@ def _segment_metrics(p: np.ndarray, q: np.ndarray, counts: np.ndarray) -> list[F
     mean = total(p) / counts
     ss_res = total((p - q) ** 2)
     ss_tot = total((p - spread(mean)) ** 2)
-    # a series whose RMS deviation from its mean is within _FLAT_ULPS of it is
-    # constant up to rounding: R^2 is 1 if the fit matches it that closely, else 0
     resolution = counts * (_FLAT_ULPS * mean) ** 2
-    flat = ss_tot <= resolution
-    r2 = np.where(flat, ss_res <= resolution, 1.0 - ss_res / np.where(flat, 1.0, ss_tot))
     p_eps, q_eps = p + _EPS, q + _EPS
     pn, qn = p_eps / spread(total(p_eps)), q_eps / spread(total(q_eps))
     m = 0.5 * (pn + qn)
@@ -175,8 +171,12 @@ def _segment_metrics(p: np.ndarray, q: np.ndarray, counts: np.ndarray) -> list[F
     nz = p != 0
     nz_counts = np.add.reduceat(nz, counts.cumsum() - counts)
     mape = _segments(nz_counts)[0](np.abs((q[nz] - p[nz]) / p[nz])) / nz_counts
-    return [FitMetrics(r2=min(1.0, max(0.0, a)), kl=max(0.0, b), js=max(0.0, c), mape=d)
-            for a, b, c, d in zip(r2.tolist(), kl.tolist(), js.tolist(), mape.tolist())]
+    # a series whose RMS deviation from its mean is within _FLAT_ULPS of it is
+    # constant up to rounding: R^2 is 1 if the fit matches it that closely, else 0
+    return [FitMetrics(r2=float(res <= tol) if tot <= tol else min(1.0, max(0.0, 1.0 - res / tot)),
+                       kl=max(0.0, a), js=max(0.0, b), mape=c)
+            for res, tot, tol, a, b, c in zip(ss_res.tolist(), ss_tot.tolist(), resolution.tolist(),
+                                              kl.tolist(), js.tolist(), mape.tolist())]
 
 
 def fit_metrics(observed, fitted) -> FitMetrics:
