@@ -24,7 +24,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .corpus import Document, tokenize
+from .corpus import Document, TokenStream, tokenize
 from .fitkit import EmpiricalSeries, NotFittable
 from .laws import (HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport, build_all,
                    evaluate_all, fit_reports)
@@ -382,13 +382,13 @@ def _unfittable_mandelbrot(exc: NotFittable) -> LawReport:
 
 
 def _mandelbrot_report(
-    doc: Document, embedder: EmbeddingProvider, q_grid, m: int
+    doc: Document, ts: TokenStream, embedder: EmbeddingProvider, q_grid, m: int
 ) -> tuple[LawReport, FluctuationMatrix | None]:
     """The multifractal law's report with its series F_{Q_REF}(s), not yet
     fitted, plus F_q(s) over ``q_grid`` (which must hold Q_REF); the matrix
     is None when the text is too short to compute it."""
     try:
-        series = build_series(doc, embedder)
+        series = build_series(doc, embedder, ts)
         fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
     except NotFittable as exc:
         return _unfittable_mandelbrot(exc), None
@@ -410,7 +410,7 @@ def score_instances(
     with zero fittable laws is flagged ``no_signal`` and scored 0.
     """
     embedder = embedder or _FALLBACK_EMBEDDER
-    law_reports = [build_all(tokenize(doc)) + [_mandelbrot_report(doc, embedder, (Q_REF,), 1)[0]]
+    law_reports = [build_all(ts := tokenize(doc)) + [_mandelbrot_report(doc, ts, embedder, (Q_REF,), 1)[0]]
                    for doc in docs]
     fit_reports([r for reports in law_reports for r in reports])
     metrics = [[r.fit.metrics for r in reports if r.fittable] for reports in law_reports]
@@ -598,7 +598,7 @@ def evaluate_corpus(
     reports = evaluate_all(ts, segment_len=segment_len, max_block=max_block)
     q_grid = DEFAULT_Q_GRID if with_spectrum else (Q_REF,)
     mandelbrot, fluct = _mandelbrot_report(
-        merged, embedder or _FALLBACK_EMBEDDER, q_grid, m=detrend_order
+        merged, ts, embedder or _FALLBACK_EMBEDDER, q_grid, m=detrend_order
     )
     fit_reports([mandelbrot])
     spec = None

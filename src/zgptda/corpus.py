@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -51,28 +52,30 @@ class TokenStream:
     """Word, sentence-length, and character sequences derived from one text.
 
     ``sentences`` holds the word count of each sentence in document order,
-    so ``sum(sentences) == len(words)``.
+    so ``sum(sentences) == len(words)``; ``sentence_texts`` holds the
+    sentences themselves, as :func:`split_sentences` returns them.
     """
 
     words: list[str] = field(default_factory=list)
     sentences: list[int] = field(default_factory=list)
     chars: str = ""
+    sentence_texts: list[str] = field(default_factory=list)
 
     @cached_property
     def codes(self) -> np.ndarray:
         """One int64 code per word, word types numbered 0, 1, ... by first occurrence."""
-        index: dict[str, int] = {}
-        return np.fromiter((index.setdefault(w, len(index)) for w in self.words), np.int64)
+        index = {w: i for i, w in enumerate(dict.fromkeys(self.words))}
+        return np.fromiter(map(index.__getitem__, self.words), np.int64, len(self.words))
 
 
 def word_tokens(text: str) -> list[str]:
     """Case-folded maximal alphabetic runs, in document order."""
-    return [m.group(0).casefold() for m in _WORD_RE.finditer(text)]
+    return tokenize(Document(id="", text=text)).words
 
 
 def split_sentences(text: str) -> list[str]:
     """Sentence fragments of `text` that contain at least one word token."""
-    return [seg for seg in _SENT_RE.split(text) if _WORD_RE.search(seg)]
+    return tokenize(Document(id="", text=text)).sentence_texts
 
 
 def tokenize(doc: Document) -> TokenStream:
@@ -80,14 +83,18 @@ def tokenize(doc: Document) -> TokenStream:
 
     Pure function of the input bytes; empty text yields empty streams.
     """
-    words: list[str] = []
-    sentences: list[int] = []
-    for seg in split_sentences(doc.text):
-        seg_words = word_tokens(seg)
-        words.extend(seg_words)
-        sentences.append(len(seg_words))
-    chars = "".join(c for c in doc.text if c.isalpha())
-    return TokenStream(words=words, sentences=sentences, chars=chars)
+    segments = _SENT_RE.split(doc.text)
+    per_segment = [_WORD_RE.findall(seg) for seg in segments]
+    sentence_texts = [seg for seg, seg_words in zip(segments, per_segment) if seg_words]
+    sentences = [len(seg_words) for seg_words in per_segment if seg_words]
+    found = list(chain.from_iterable(per_segment))
+    chars = "".join(found)
+    # the word pattern also matches non-decimal numerals such as ² and ½
+    if not chars.isalpha():
+        chars = "".join(c for c in doc.text if c.isalpha())
+    # casefold maps each character on its own and never yields a space
+    words = " ".join(found).casefold().split(" ") if found else []
+    return TokenStream(words=words, sentences=sentences, chars=chars, sentence_texts=sentence_texts)
 
 
 def load_jsonl(path) -> list[Document]:

@@ -74,11 +74,11 @@ class EmpiricalSeries:
         self.y = np.asarray(self.y, dtype=float)
         if self.x.ndim != 1 or self.x.shape != self.y.shape:
             raise ValueError("x and y must be 1-D and the same length")
-        if self.x.size and np.any(self.x <= 0):
+        if (self.x <= 0).any():
             raise ValueError("x values must be positive")
-        if self.x.size > 1 and np.any(np.diff(self.x) <= 0):
+        if (self.x[1:] <= self.x[:-1]).any():
             raise ValueError("x must be strictly increasing")
-        if self.y.size and np.any(self.y < 0):
+        if (self.y < 0).any():
             raise ValueError("y values must be nonnegative")
 
     def __len__(self):

@@ -39,7 +39,7 @@ LAW_NAMES = ("zipf", "heaps", "taylor", "hilberg", "ebeling", "menzerath", "benf
 HEAPS_TARGET_POINTS = 200
 TAYLOR_SEGMENT_LEN = 100
 HILBERG_MAX_BLOCK = 6
-# cells of the taylor and ebeling count tables held as float64 at a time
+# cells of the taylor count table held as float64 at a time
 _BLOCK_CELLS = 2 ** 18
 
 
@@ -132,12 +132,17 @@ def hilberg_series(ts: TokenStream, max_block: int = HILBERG_MAX_BLOCK) -> Empir
         total = n - mu + 1
         if total < 1:
             break
-        # block code = prefix code * n_types + last word code, re-coded densely
-        # by np.unique so the next keys fit int64; summed by first occurrence
-        keys = blocks if mu == 1 else blocks[:total] * n_types + codes[mu - 1 :]
-        _, first, blocks, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True)
-        probs = counts[np.argsort(first)] / total
+        if mu > 1:
+            # block code = prefix code * n_types + last word code; one sort
+            # groups the blocks, each is re-coded by its first position (so the
+            # next keys fit int64), and bincount counts them by first occurrence
+            keys = blocks[:total] * n_types + codes[mu - 1 :]
+            perm = np.argsort(keys)
+            starts = np.flatnonzero(np.diff(keys[perm], prepend=-1))
+            blocks = np.empty_like(keys)
+            blocks[perm] = np.repeat(np.minimum.reduceat(perm, starts), np.diff(starts, append=total))
+        counts = np.bincount(blocks)
+        probs = counts[counts > 0] / total
         xs.append(mu)
         ys.append(float(-np.sum(probs * np.log(probs))))
     return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="hilberg")
@@ -149,37 +154,38 @@ def ebeling_series(ts: TokenStream, min_windows: int = 8) -> EmpiricalSeries:
     Window lengths are powers of two up to len(chars) // min_windows. For each
     length u the character sequence is cut into floor(C/u) non-overlapping
     windows; y(u) sums, over the alphabet of the text, the population variance
-    across windows of each character's count.
+    across windows of each character's count. y(u) is the exact sum,
+    correctly rounded to float.
     """
     chars = ts.chars
     c = len(chars)
     if c // min_windows < 2:
         raise NotFittable(f"ebeling: {c} characters is too short")
-    # each character's index in sorted(set(chars)), which sorts by code point
-    alphabet, codes = np.unique(np.frombuffer(chars.encode("utf-32-le"), "<u4"), return_inverse=True)
-    k = len(alphabet)
-    block_rows = max(1, _BLOCK_CELLS // k)
+    codes = np.frombuffer(chars.encode("utf-32-le"), "<u4")
+    if codes.max() >= 2 ** 16:
+        codes = np.unique(codes, return_inverse=True)[1]
+    codes = codes.astype(np.min_scalar_type(codes.max()))
+    totals = np.bincount(codes)
+    # positions grouped by character, ascending within each: at each u the
+    # nonzero (character, window) cells are runs, which start at a character's
+    # first position or where pos // u changes, i.e. for u a power of two,
+    # where pos differs from the position before it in a bit worth u or more
+    pos = np.argsort(codes, kind="stable")
+    split = pos ^ np.roll(pos, 1)
+    split[np.cumsum(totals[totals > 0]) % c] = c  # the last sum, c, wraps to 0
     xs: list[int] = []
     ys: list[float] = []
     u = 2
     while u <= c // min_windows:
         n_win = c // u
-        trimmed = codes[: n_win * u]
-        # numpy's var(axis=0) of the window x alphabet count table, a block of
-        # windows at a time: exact integer column means, then squared
-        # deviations summed down each column in row order, the running sum
-        # carried as the first row of the next block
-        mean = np.bincount(trimmed, minlength=k) / n_win
-        for lo in range(0, n_win, block_rows):
-            rows = min(block_rows, n_win - lo)
-            win_ids = np.repeat(np.arange(rows, dtype=np.int64), u)
-            table = np.bincount(win_ids * k + trimmed[lo * u : (lo + rows) * u],
-                                minlength=rows * k).reshape(rows, k)
-            dev = table - mean
-            dev *= dev
-            ssd = np.add.reduce(np.vstack([ssd, dev]) if lo else dev, axis=0)
+        run_lens = np.diff(np.flatnonzero(split >= u), append=c)
+        # less the partial last window's cells; then sum_k var_k is
+        # (n_win * sum_wk n_wk^2 - sum_k T_k^2) / n_win^2, exact in Python ints
+        tail = np.bincount(codes[n_win * u :], minlength=totals.size)
+        sum_sq = int(run_lens @ run_lens) - int(tail @ tail)
+        in_windows = totals - tail
         xs.append(u)
-        ys.append(float((ssd / n_win).sum()))
+        ys.append((n_win * sum_sq - int(in_windows @ in_windows)) / (n_win * n_win))
         u *= 2
     return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="ebeling")
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Document, split_sentences, word_tokens
+from .corpus import Document, TokenStream, tokenize
 from .fitkit import EmpiricalSeries, LawFit, NotFittable, fit_loglog
 
 __all__ = [
@@ -256,20 +256,24 @@ class MultifractalSpectrum:
     fluctuation: np.ndarray = field(repr=False)
 
 
-def build_series(doc: Document, provider: EmbeddingProvider) -> ScalarSeries:
+def build_series(
+    doc: Document, provider: EmbeddingProvider, ts: TokenStream | None = None
+) -> ScalarSeries:
     """Embed a document's units and reduce each vector to its component mean.
 
     Units are sentences; documents with fewer than 64 sentences fall back to
-    word tokens so short texts still produce a usable series.
+    word tokens so short texts still produce a usable series. ``ts`` is the
+    document's token stream when the caller has already tokenized it.
 
     Raises:
         NotFittable: fewer than 64 units even after the word fallback.
         ProviderError: the provider failed on a unit.
     """
-    units = split_sentences(doc.text)
+    ts = tokenize(doc) if ts is None else ts
+    units = ts.sentence_texts
     unit_kind = "sentence"
     if len(units) < MIN_SERIES_LEN:
-        units = word_tokens(doc.text)
+        units = ts.words
         unit_kind = "word"
     if len(units) < MIN_SERIES_LEN:
         raise NotFittable(

@@ -198,6 +198,25 @@ class TestEmpiricalSeries:
         with pytest.raises(ValueError):
             EmpiricalSeries([1.0, 2.0], [1.0, -2.0])
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([[1.0]], [[1.0]], "x and y must be 1-D and the same length"),
+        ([1.0, 2.0], [1.0], "x and y must be 1-D and the same length"),
+        ([0.0, 1.0], [1.0, 2.0], "x values must be positive"),
+        ([-1.0], [1.0], "x values must be positive"),
+        ([2.0, 1.0], [1.0, 1.0], "x must be strictly increasing"),
+        # repeated infinities: the difference inf - inf is NaN, the order test is not
+        ([1.0, math.inf, math.inf], [1.0, 1.0, 1.0], "x must be strictly increasing"),
+        ([1.0, 2.0], [1.0, -2.0], "y values must be nonnegative"),
+    ])
+    def test_messages(self, x, y, message):
+        with pytest.raises(ValueError) as info:
+            EmpiricalSeries(x, y)
+        assert str(info.value) == message
+
+    def test_empty_and_one_point_series_constructible(self):
+        assert len(EmpiricalSeries([], [])) == 0
+        assert len(EmpiricalSeries([3.0], [0.0])) == 1
+
 
 class TestFitBenford:
     @staticmethod

@@ -2,18 +2,22 @@
 
 The reference builders below count words with ``Counter``, sets and dicts,
 one word at a time. Every series the library builds must equal theirs byte
-for byte, and every ``NotFittable`` detail must read the same.
+for byte, and every ``NotFittable`` detail must read the same. The
+character-variance reference sums the variances as exact fractions and
+rounds once; the earlier float reference, which summed squared deviations
+in float64, must agree with it to a relative 1e-9.
 """
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgptda.corpus import Document, tokenize
+from zgptda.corpus import Document, TokenStream, tokenize
 from zgptda.fitkit import EmpiricalSeries, NotFittable
 from zgptda.laws import (
     ebeling_series,
@@ -106,6 +110,28 @@ def ref_ebeling(ts, min_windows=8):
     return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="ebeling")
 
 
+def exact_ebeling(ts, min_windows=8):
+    chars = ts.chars
+    c = len(chars)
+    if c // min_windows < 2:
+        raise NotFittable(f"ebeling: {c} characters is too short")
+    xs, ys = [], []
+    u = 2
+    while u <= c // min_windows:
+        n_win = c // u
+        sum_sq, col = Counter(), Counter()
+        for w in range(n_win):
+            for ch, n in Counter(chars[w * u : (w + 1) * u]).items():
+                sum_sq[ch] += n * n
+                col[ch] += n
+        # population variance of each character's count over the windows
+        var = sum(Fraction(sum_sq[ch], n_win) - Fraction(col[ch], n_win) ** 2 for ch in col)
+        xs.append(u)
+        ys.append(float(var))
+        u *= 2
+    return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="ebeling")
+
+
 def ref_menzerath(ts):
     if not ts.sentences:
         raise NotFittable("menzerath: no sentences")
@@ -126,7 +152,7 @@ def pairs(segment_len, max_block):
         (heaps_series, ref_heaps),
         (lambda ts: taylor_series(ts, segment_len), lambda ts: ref_taylor(ts, segment_len)),
         (lambda ts: hilberg_series(ts, max_block), lambda ts: ref_hilberg(ts, max_block)),
-        (ebeling_series, ref_ebeling),
+        (ebeling_series, exact_ebeling),
         (menzerath_series, ref_menzerath),
     ]
 
@@ -145,6 +171,18 @@ def assert_matches_reference(text, segment_len=100, max_block=6):
         # the reference first: the library must not depend on what ran before
         expected = outcome(reference, ts)
         assert outcome(build, ts) == expected
+    assert_close_to_float_ebeling(ts)
+
+
+def assert_close_to_float_ebeling(ts):
+    try:
+        expected = ref_ebeling(ts)
+    except NotFittable:
+        return  # the exact reference has compared the detail
+    got = ebeling_series(ts)
+    assert got.x.tobytes() == expected.x.tobytes()
+    for a, b in zip(got.y.tolist(), expected.y.tolist()):
+        assert math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-12)
 
 
 # a small vocabulary so that words repeat and counts tie; mixed case and
@@ -166,6 +204,15 @@ def test_random_texts_match_reference(text, segment_len, max_block):
 @given(st.text(alphabet="ab Ab.!é1", max_size=300), st.integers(min_value=1, max_value=50))
 def test_raw_character_texts_match_reference(text, segment_len):
     assert_matches_reference(text, segment_len, max_block=6)
+
+
+# one-byte, two-byte and astral code points take different code paths
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["ab", "aéΣσ", "aΣ𝐀𝐁"]).flatmap(lambda a: st.text(alphabet=a, max_size=300)))
+def test_wide_alphabet_ebeling_matches_reference(chars):
+    ts = TokenStream(chars=chars)
+    assert outcome(ebeling_series, ts) == outcome(exact_ebeling, ts)
+    assert_close_to_float_ebeling(ts)
 
 
 @pytest.mark.parametrize("text", [

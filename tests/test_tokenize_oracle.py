@@ -4,7 +4,8 @@ The reference below splits a text into sentence segments, case-folds each
 word match on its own, filters the characters with ``str.isalpha`` and
 numbers word types with ``dict.setdefault``; the embedder's reference units
 are the sentence segments, or the words when there are too few of them.
-``tokenize`` and ``build_series`` must produce the same values byte for byte.
+``tokenize`` and ``build_series``, given the document alone or with its
+token stream, must produce the same values byte for byte.
 """
 
 import re
@@ -61,10 +62,10 @@ class RecordingProvider(EmbeddingProvider):
         return np.zeros((len(units), 1))
 
 
-def embedded_units(doc):
+def embedded_units(doc, *ts):
     provider = RecordingProvider()
     try:
-        series = build_series(doc, provider)
+        series = build_series(doc, provider, *ts)
     except NotFittable as exc:
         return ("NotFittable", str(exc))
     return provider.units, series.source.rsplit("/", 1)[-1]
@@ -76,6 +77,7 @@ def assert_matches_reference(text):
     ts = tokenize(doc)
     assert ts.words == words
     assert ts.sentences == sentences
+    assert ts.sentence_texts == ref_split_sentences(text)
     assert ts.chars == chars
     assert ts.codes.dtype == codes.dtype and ts.codes.tobytes() == codes.tobytes()
     # both branches of the word fallback: the real threshold, and thresholds
@@ -87,6 +89,7 @@ def assert_matches_reference(text):
             expected = (units, kind) if len(units) >= min_len else (
                 "NotFittable", f"mandelbrot: {len(units)} {kind} units, need {min_len}")
             assert embedded_units(doc) == expected
+            assert embedded_units(doc, ts) == expected
 
 
 # letters that case-fold to several characters (ß, ﬁ, İ), a final sigma,
