@@ -94,8 +94,8 @@ class TestOutputsPinned:
         assert tree_sha256(out, grid) == COMPARE_SHA256
 
 
-ANALYZE_SHA256 = "3b3419072cedf230c05a29ea3d7704919969bfafbf57a7f93386bf4507b0d836"
-COMPARE_SHA256 = "1a98d43174791d33aac76cfdd72627fadce7a8ec878f3ee41b5b7c3d57b9f5fe"
+ANALYZE_SHA256 = "b533f20b3915d4e26f7559f708427c3579e5c8c5d1d4277167c61db93c39fee7"
+COMPARE_SHA256 = "98cbe16f43d8371c9f914e1de28be0396553b7fec1a1295c45b4354f8aabc2f2"
 
 
 class TestCompare:
