@@ -161,9 +161,8 @@ def ebeling_series(ts: TokenStream, min_windows: int = 8) -> EmpiricalSeries:
     c = len(chars)
     if c // min_windows < 2:
         raise NotFittable(f"ebeling: {c} characters is too short")
+    # code points, narrowed so the stable sort below is a radix sort on most texts
     codes = np.frombuffer(chars.encode("utf-32-le"), "<u4")
-    if codes.max() >= 2 ** 16:
-        codes = np.unique(codes, return_inverse=True)[1]
     codes = codes.astype(np.min_scalar_type(codes.max()))
     totals = np.bincount(codes)
     # positions grouped by character, ascending within each: at each u the

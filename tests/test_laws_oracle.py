@@ -206,7 +206,7 @@ def test_raw_character_texts_match_reference(text, segment_len):
     assert_matches_reference(text, segment_len, max_block=6)
 
 
-# one-byte, two-byte and astral code points take different code paths
+# texts whose code points fit one byte, two bytes and only four bytes
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["ab", "aéΣσ", "aΣ𝐀𝐁"]).flatmap(lambda a: st.text(alphabet=a, max_size=300)))
 def test_wide_alphabet_ebeling_matches_reference(chars):
