@@ -92,8 +92,9 @@ def tokenize(doc: Document) -> TokenStream:
     # the word pattern also matches non-decimal numerals such as ² and ½
     if not chars.isalpha():
         chars = "".join(c for c in doc.text if c.isalpha())
-    # casefold maps each character on its own and never yields a space
-    words = " ".join(found).casefold().split(" ") if found else []
+    # one folded string per distinct word, shared by all its occurrences
+    folded = {w: w.casefold() for w in dict.fromkeys(found)}
+    words = list(map(folded.__getitem__, found))
     return TokenStream(words=words, sentences=sentences, chars=chars, sentence_texts=sentence_texts)
 
 

@@ -168,9 +168,10 @@ def ebeling_series(ts: TokenStream, min_windows: int = 8) -> EmpiricalSeries:
     # positions grouped by character, ascending within each: at each u the
     # nonzero (character, window) cells are runs, which start at a character's
     # first position or where pos // u changes, i.e. for u a power of two,
-    # where pos differs from the position before it in a bit worth u or more
-    pos = np.argsort(codes, kind="stable")
-    split = pos ^ np.roll(pos, 1)
+    # where pos differs from the position before it in a bit worth u or more;
+    # split holds each position XOR the one before it, in place
+    split = np.argsort(codes, kind="stable")
+    split ^= np.roll(split, 1)
     split[np.cumsum(totals[totals > 0]) % c] = c  # the last sum, c, wraps to 0
     xs: list[int] = []
     ys: list[float] = []
