@@ -52,8 +52,8 @@ class TokenStream:
     """Word, sentence-length, and character sequences derived from one text.
 
     ``sentences`` holds the word count of each sentence in document order,
-    so ``sum(sentences) == len(words)``; ``sentence_texts`` holds the
-    sentences themselves, as :func:`split_sentences` returns them.
+    so ``sum(sentences) == len(words)``; ``sentence_texts`` holds the text
+    of each of those sentences.
     """
 
     words: list[str] = field(default_factory=list)
