@@ -9,17 +9,11 @@ eight laws to produce fittable series at book scale.
 
 import bisect
 import math
-import os
 import random
 
 import pytest
-from hypothesis import settings
 
 from zgptda.corpus import Document
-
-# HYPOTHESIS_PROFILE=ci prints a reproduction blob with each failing example
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _LETTER_WEIGHTS = {
     "e": 12.7, "t": 9.1, "a": 8.2, "o": 7.5, "i": 7.0, "n": 6.7, "s": 6.3,
