@@ -52,8 +52,7 @@ class TokenStream:
     """Word, sentence-length, and character sequences derived from one text.
 
     ``sentences`` holds the word count of each sentence in document order,
-    so ``sum(sentences) == len(words)``; ``sentence_texts`` holds the text
-    of each of those sentences.
+    so ``sum(sentences) == len(words)``; ``sentence_texts`` holds their texts.
     """
 
     words: list[str] = field(default_factory=list)

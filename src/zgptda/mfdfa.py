@@ -262,8 +262,8 @@ def build_series(
     """Embed a document's units and reduce each vector to its component mean.
 
     Units are sentences; documents with fewer than 64 sentences fall back to
-    word tokens so short texts still produce a usable series. ``ts`` is the
-    document's token stream when the caller has already tokenized it.
+    word tokens so short texts still produce a usable series. A caller that
+    has already tokenized `doc` passes ``ts``, which must be ``tokenize(doc)``.
 
     Raises:
         NotFittable: fewer than 64 units even after the word fallback.

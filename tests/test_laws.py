@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tests.conftest import synth_book
-from tests.test_laws_oracle import outcome, ref_taylor
+from tests.test_laws_oracle import assert_matches_reference
 from zgptda import laws
 from zgptda.corpus import Document, TokenStream, tokenize
 from zgptda.fitkit import NotFittable, fit_loglog
@@ -134,9 +134,7 @@ def test_small_blocks_match_reference(monkeypatch, block_cells, segment_len):
     # taylor walks its count table a block at a time; blocks of one row and
     # of a few rows, with a short last block, change no bit
     monkeypatch.setattr(laws, "_BLOCK_CELLS", block_cells)
-    ts = tokenize(Document(id="t", text=synth_book(seed=7, n_sentences=120)))
-    expected = outcome(lambda ts: ref_taylor(ts, segment_len), ts)
-    assert outcome(lambda ts: taylor_series(ts, segment_len), ts) == expected
+    assert_matches_reference(synth_book(seed=7, n_sentences=120), segment_len, max_block=2)
 
 
 class TestHilberg:
