@@ -25,20 +25,21 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .corpus import Document, TokenStream, tokenize
-from .fitkit import EmpiricalSeries, NotFittable
+from .fitkit import NotFittable
 from .laws import (HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport, build_all,
                    evaluate_all, fit_reports)
 # mandelbrot_conformity, law_vector, aggregate and infer_suitability are not
 # called here: perfbench/instrument.py looks them up on this module
-from .mfdfa import (DEFAULT_Q_GRID, EmbeddingProvider, FluctuationMatrix,  # noqa: F401
-                    HashedTrigramEmbedder, MultifractalSpectrum, build_series, default_scales,
-                    fluctuation, mandelbrot_conformity, profile, spectrum)
+from .mfdfa import (DEFAULT_Q_GRID, Q_REF, EmbeddingProvider, FluctuationMatrix,  # noqa: F401
+                    HashedTrigramEmbedder, MultifractalSpectrum, build_series, conformity_series,
+                    default_scales, fluctuation, mandelbrot_conformity, profile, spectrum)
 from .zscore import (Suitability, ZNumber, aggregate, infer_suitability,  # noqa: F401
                      law_vector, score_laws)
 
 __all__ = [
     "DEFAULT_PROMPT",
     "API_KEY_ENV",
+    "SCHEMA_VERSION",
     "GenerationConfig",
     "TransportError",
     "PartialGeneration",
@@ -73,10 +74,10 @@ DEFAULT_PROMPT = (
 
 API_KEY_ENV = "ZGPTDA_API_KEY"
 
-ALL_LAWS = LAW_NAMES + ("mandelbrot",)
+# of every JSON report and manifest written
+SCHEMA_VERSION = 1
 
-# the multifractal law is scored by its conformity row h(2)
-Q_REF = 2.0
+ALL_LAWS = LAW_NAMES + ("mandelbrot",)
 
 
 @dataclass
@@ -213,9 +214,12 @@ class ReplayTransport(Transport):
                     continue
                 try:
                     obj = json.loads(line)
-                    self._by_hash.setdefault(obj["request_hash"], []).append(obj["completion"])
+                    h, completion = obj["request_hash"], obj["completion"]
+                    if not (isinstance(h, str) and isinstance(completion, str)):
+                        raise TypeError("request_hash and completion must be strings")
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise TransportError(f"{path}: line {lineno}: bad replay record") from exc
+                self._by_hash.setdefault(h, []).append(completion)
 
     def complete(self, prompt: str, cfg: GenerationConfig, slot: int = 0) -> str:
         h = request_hash(request_payload(prompt, cfg))
@@ -231,19 +235,19 @@ class ReplayTransport(Transport):
 class LiveTransport(Transport):
     """HTTP chat-completion client with bounded retries and backoff.
 
-    The API key is read from the ``ZGPTDA_API_KEY`` environment variable
-    unless passed explicitly.
+    The API key is read from the ``ZGPTDA_API_KEY`` environment variable.
+    A retryable failure is retried up to MAX_RETRIES times, after sleeping
+    BACKOFF_S, then twice that, and so on.
     """
 
     RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
+    MAX_RETRIES = 3
+    BACKOFF_S = 0.5
+    TIMEOUT_S = 60.0
 
-    def __init__(self, endpoint: str, api_key: str | None = None, max_retries: int = 3,
-                 backoff: float = 0.5, timeout: float = 60.0):
+    def __init__(self, endpoint: str):
         self.endpoint = endpoint
-        self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
+        self.api_key = os.environ.get(API_KEY_ENV)
         self.transport_id = f"live:{endpoint}"
 
     def complete(self, prompt: str, cfg: GenerationConfig, slot: int = 0) -> str:
@@ -254,12 +258,12 @@ class LiveTransport(Transport):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         last_error = None
-        for attempt in range(self.max_retries + 1):
+        for attempt in range(self.MAX_RETRIES + 1):
             if attempt:
-                time.sleep(self.backoff * 2 ** (attempt - 1))
+                time.sleep(self.BACKOFF_S * 2 ** (attempt - 1))
             try:
                 resp = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.timeout
+                    self.endpoint, json=payload, headers=headers, timeout=self.TIMEOUT_S
                 )
             except requests.RequestException as exc:
                 last_error = exc
@@ -273,21 +277,22 @@ class LiveTransport(Transport):
                 return self._extract(resp.json())
             except ValueError as exc:
                 raise TransportError(f"HTTP 200 body is not JSON: {resp.text[:200]!r}") from exc
-        raise TransportError(f"transport exhausted after {self.max_retries + 1} attempts") from last_error
+        raise TransportError(f"transport exhausted after {self.MAX_RETRIES + 1} attempts") from last_error
 
     @staticmethod
     def _extract(data) -> str:
-        try:
-            return data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            pass
-        try:
-            return data["choices"][0]["text"]
-        except (KeyError, IndexError, TypeError):
-            pass
-        for key in ("completion", "text"):
-            if isinstance(data, dict) and isinstance(data.get(key), str):
-                return data[key]
+        """The completion string of the first known response shape that
+        carries one; a null (refusals, tool calls) or other non-string is none."""
+        for path in (("choices", 0, "message", "content"), ("choices", 0, "text"),
+                     ("completion",), ("text",)):
+            value = data
+            try:
+                for key in path:
+                    value = value[key]
+            except (KeyError, IndexError, TypeError):
+                continue
+            if isinstance(value, str):
+                return value
         raise TransportError("response carries no text completion")
 
 
@@ -392,9 +397,7 @@ def _mandelbrot_report(
         fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
     except NotFittable as exc:
         return _unfittable_mandelbrot(exc), None
-    row = fluct.values[np.isclose(fluct.q_grid, Q_REF)][0]
-    emp = EmpiricalSeries(fluct.scales.astype(float), row, law="mandelbrot")
-    return LawReport(law="mandelbrot", series=emp, fit=None, fittable=False), fluct
+    return LawReport(law="mandelbrot", series=conformity_series(fluct), fit=None, fittable=False), fluct
 
 
 def score_instances(
@@ -678,7 +681,7 @@ def compare_corpora(
         docs_b, name=name_b, embedder=embedder, segment_len=segment_len, max_block=max_block
     )
     return {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "laws": list(ALL_LAWS),
         "corpora": {name_a: corpus_report_dict(ev_a), name_b: corpus_report_dict(ev_b)},
     }

@@ -20,6 +20,7 @@ from . import __version__
 from .augment import (
     API_KEY_ENV,
     DEFAULT_PROMPT,
+    SCHEMA_VERSION,
     GenerationConfig,
     LiveTransport,
     MockTransport,
@@ -39,8 +40,6 @@ from .laws import HILBERG_MAX_BLOCK, TAYLOR_SEGMENT_LEN
 from .mfdfa import FileVectorEmbedder, ProviderError
 from .zscore import describe_rulebase
 
-SCHEMA_VERSION = 1
-
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_TRANSPORT = 2
@@ -54,18 +53,8 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
-def _json_default(obj):
-    # numpy scalars and arrays leak into reports from the numerics layer
-    if hasattr(obj, "tolist"):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
 def _write_json(path, obj):
-    atomic_write_text(
-        path,
-        json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True, default=_json_default) + "\n",
-    )
+    atomic_write_text(path, json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def _write_manifest(out_path, command: str, args: argparse.Namespace, inputs, started: float):
@@ -297,7 +286,6 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     def common_flags(p):
         p.add_argument("--embeddings",
                        help="JSONL file of precomputed unit vectors (default: built-in hashed embedder)")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
     def law_flags(p):
         p.add_argument("--segment-len", type=int, default=TAYLOR_SEGMENT_LEN,
@@ -338,6 +326,8 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                            help="fraction of instances kept, by descending suitability")
     p_augment.add_argument("--prompt-template", default=DEFAULT_PROMPT)
     p_augment.add_argument("--max-in-flight", type=int, default=4)
+    p_augment.add_argument("--seed", type=int, default=0,
+                           help="seed of the mock transport, recorded in the config hash")
     p_augment.add_argument("--keep-partial", action="store_true",
                            help="keep partial outputs when the transport fails")
     common_flags(p_augment)

@@ -24,8 +24,6 @@ __all__ = [
     "LoadError",
     "load_jsonl",
     "tokenize",
-    "split_sentences",
-    "word_tokens",
     "first_digits",
 ]
 
@@ -65,16 +63,6 @@ class TokenStream:
         """One int64 code per word, word types numbered 0, 1, ... by first occurrence."""
         index = {w: i for i, w in enumerate(dict.fromkeys(self.words))}
         return np.fromiter(map(index.__getitem__, self.words), np.int64, len(self.words))
-
-
-def word_tokens(text: str) -> list[str]:
-    """Case-folded maximal alphabetic runs, in document order."""
-    return tokenize(Document(id="", text=text)).words
-
-
-def split_sentences(text: str) -> list[str]:
-    """Sentence fragments of `text` that contain at least one word token."""
-    return tokenize(Document(id="", text=text)).sentence_texts
 
 
 def tokenize(doc: Document) -> TokenStream:

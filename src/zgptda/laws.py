@@ -39,6 +39,8 @@ LAW_NAMES = ("zipf", "heaps", "taylor", "hilberg", "ebeling", "menzerath", "benf
 HEAPS_TARGET_POINTS = 200
 TAYLOR_SEGMENT_LEN = 100
 HILBERG_MAX_BLOCK = 6
+# fewest windows of the longest ebeling window length
+EBELING_MIN_WINDOWS = 8
 # cells of the taylor count table held as float64 at a time
 _BLOCK_CELLS = 2 ** 18
 
@@ -148,18 +150,18 @@ def hilberg_series(ts: TokenStream, max_block: int = HILBERG_MAX_BLOCK) -> Empir
     return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="hilberg")
 
 
-def ebeling_series(ts: TokenStream, min_windows: int = 8) -> EmpiricalSeries:
+def ebeling_series(ts: TokenStream) -> EmpiricalSeries:
     """Character-variance scaling: x = window length, y = summed count variance.
 
-    Window lengths are powers of two up to len(chars) // min_windows. For each
-    length u the character sequence is cut into floor(C/u) non-overlapping
+    Window lengths u are powers of two up to C // EBELING_MIN_WINDOWS, C the
+    number of characters. The characters are cut into floor(C/u) non-overlapping
     windows; y(u) sums, over the alphabet of the text, the population variance
     across windows of each character's count. y(u) is the exact sum,
     correctly rounded to float.
     """
     chars = ts.chars
     c = len(chars)
-    if c // min_windows < 2:
+    if c // EBELING_MIN_WINDOWS < 2:
         raise NotFittable(f"ebeling: {c} characters is too short")
     # code points, narrowed so the stable sort below is a radix sort on most texts
     codes = np.frombuffer(chars.encode("utf-32-le"), "<u4")
@@ -176,7 +178,7 @@ def ebeling_series(ts: TokenStream, min_windows: int = 8) -> EmpiricalSeries:
     xs: list[int] = []
     ys: list[float] = []
     u = 2
-    while u <= c // min_windows:
+    while u <= c // EBELING_MIN_WINDOWS:
         n_win = c // u
         run_lens = np.diff(np.flatnonzero(split >= u), append=c)
         # less the partial last window's cells; then sum_k var_k is

@@ -29,6 +29,7 @@ from .fitkit import EmpiricalSeries, LawFit, NotFittable, fit_loglog
 __all__ = [
     "MIN_SERIES_LEN",
     "DEFAULT_Q_GRID",
+    "Q_REF",
     "ProviderError",
     "EmbeddingProvider",
     "HashedTrigramEmbedder",
@@ -41,6 +42,7 @@ __all__ = [
     "default_scales",
     "fluctuation",
     "spectrum",
+    "conformity_series",
     "mandelbrot_conformity",
     "run_mfdfa",
 ]
@@ -49,6 +51,9 @@ MIN_SERIES_LEN = 64
 MIN_SCALE = 16
 N_SCALES = 12
 DEFAULT_Q_GRID = np.arange(-10.0, 10.5, 0.5)
+# the multifractal law is scored by its conformity row F_2(s), whose exponent
+# is h(2), standard DFA
+Q_REF = 2.0
 
 # residual-variance floor keeps q < 0 and q = 0 aggregations finite when a
 # window is perfectly detrended
@@ -388,31 +393,27 @@ def spectrum(fluct: FluctuationMatrix) -> MultifractalSpectrum:
     )
 
 
-def mandelbrot_conformity(fluct: FluctuationMatrix, q_ref: float = 2.0) -> LawFit:
-    """Power-law fit of F_{q_ref}(s) against s; the exponent is h(q_ref).
+def conformity_series(fluct: FluctuationMatrix) -> EmpiricalSeries:
+    """The conformity row F_{Q_REF}(s) against s, which the fuzzy scorer
+    fits for the multifractal law.
 
-    This is the conformity row the fuzzy scorer consumes for the
-    multifractal law.
+    Raises:
+        ValueError: Q_REF is not on the q grid.
     """
-    matches = np.where(np.isclose(fluct.q_grid, q_ref))[0]
+    matches = np.flatnonzero(np.isclose(fluct.q_grid, Q_REF))
     if matches.size == 0:
-        raise ValueError(f"q_ref={q_ref} is not on the q grid")
-    row = fluct.values[matches[0]]
-    series = EmpiricalSeries(fluct.scales.astype(float), row, law="mandelbrot")
-    return fit_loglog(series)
+        raise ValueError(f"Q_REF={Q_REF} is not on the q grid")
+    return EmpiricalSeries(fluct.scales.astype(float), fluct.values[matches[0]], law="mandelbrot")
 
 
-def run_mfdfa(
-    series: ScalarSeries,
-    q_grid=None,
-    m: int = 1,
-    scales=None,
-) -> tuple[FluctuationMatrix, MultifractalSpectrum]:
-    """Profile -> fluctuation -> spectrum with the default grids."""
-    if q_grid is None:
-        q_grid = DEFAULT_Q_GRID
-    if scales is None:
-        scales = default_scales(len(series))
-    prof = profile(series)
-    fluct = fluctuation(prof, scales, q_grid, m=m)
+def mandelbrot_conformity(fluct: FluctuationMatrix) -> LawFit:
+    """Power-law fit of the conformity row; the exponent is h(Q_REF)."""
+    return fit_loglog(conformity_series(fluct))
+
+
+def run_mfdfa(series: ScalarSeries) -> tuple[FluctuationMatrix, MultifractalSpectrum]:
+    """Profile -> fluctuation -> spectrum on the default q and scale grids,
+    detrending each window linearly."""
+    scales = default_scales(len(series))
+    fluct = fluctuation(profile(series), scales, DEFAULT_Q_GRID)
     return fluct, spectrum(fluct)

@@ -7,6 +7,7 @@ import pytest
 from zgptda.augment import (
     ALL_LAWS,
     GenerationConfig,
+    LiveTransport,
     MockTransport,
     PartialGeneration,
     RecordingTransport,
@@ -151,6 +152,77 @@ class TestReplay:
         cfg_a = GenerationConfig(model="gpt-4")
         cfg_b = GenerationConfig(model="gpt-4o")
         assert request_hash(request_payload("p", cfg_a)) != request_hash(request_payload("p", cfg_b))
+
+
+class TestLiveTransport:
+    """The retry loop against a stubbed ``requests.post``; nothing leaves the process."""
+
+    @pytest.fixture
+    def post(self, monkeypatch):
+        """Answer each POST with the next of the given replies (an HTTP
+        status, or an exception to raise); return the recorded sleeps."""
+        import requests
+
+        class Response:
+            def __init__(self, status):
+                self.status_code = status
+                self.text = f"status {status}"
+
+            def json(self):
+                return {"choices": [{"message": {"content": "a paraphrase"}}]}
+
+        def install(*replies):
+            pending = list(replies)
+
+            def fake_post(*args, **kwargs):
+                reply = pending.pop(0)
+                if isinstance(reply, Exception):
+                    raise reply
+                return Response(reply)
+
+            monkeypatch.setattr(requests, "post", fake_post)
+            return pending
+
+        sleeps = []
+        monkeypatch.setattr("zgptda.augment.time.sleep", sleeps.append)
+        return install, sleeps
+
+    def complete(self):
+        return LiveTransport("http://localhost:9/v1").complete("p", GenerationConfig())
+
+    def test_retryable_status_retried_with_backoff(self, post):
+        install, sleeps = post
+        pending = install(503, 503, 200)
+        assert self.complete() == "a paraphrase"
+        assert sleeps == [0.5, 1.0]
+        assert pending == []
+
+    def test_request_exception_retried(self, post):
+        import requests
+
+        install, sleeps = post
+        install(requests.ConnectionError("refused"), 200)
+        assert self.complete() == "a paraphrase"
+        assert sleeps == [0.5]
+
+    def test_client_error_raises_at_once(self, post):
+        install, sleeps = post
+        pending = install(400, 200)
+        with pytest.raises(TransportError, match="HTTP 400"):
+            self.complete()
+        assert sleeps == []
+        assert pending == [200]
+
+    def test_exhausted_after_four_attempts(self, post):
+        import requests
+
+        install, sleeps = post
+        last = requests.Timeout("read timed out")
+        install(503, 429, requests.ConnectionError("refused"), last)
+        with pytest.raises(TransportError, match="transport exhausted after 4 attempts") as exc_info:
+            self.complete()
+        assert exc_info.value.__cause__ is last
+        assert sleeps == [0.5, 1.0, 2.0]
 
 
 class TestGenerateInstances:

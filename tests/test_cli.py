@@ -28,7 +28,7 @@ class TestAnalyze:
         }
         manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
         assert manifest["command"] == "analyze"
-        assert manifest["seed"] == 0
+        assert manifest["seed"] is None
         assert str(dataset) in manifest["input_sha256"]
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
@@ -253,6 +253,35 @@ class TestAugment:
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["origin"] for r in records] == ["raw"] * 4
         assert len(non_json_200) == 4  # one attempt per slot per run: not retried
+
+
+    def test_null_completion_is_transport_failure(self, dataset, tmp_path, monkeypatch, capsys):
+        # chat APIs answer a refusal or a tool call with a null content
+        import requests
+
+        class Response:
+            status_code = 200
+            text = '{"choices": [{"message": {"content": null}}]}'
+
+            def json(self):
+                return json.loads(self.text)
+
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: Response())
+        assert run(["augment", dataset, "--transport", "live", "--endpoint", "http://localhost:9/v1",
+                    "--n", "2", "--out", tmp_path / "a.jsonl", "--scores", tmp_path / "s.json"]) == 2
+        assert "response carries no text completion" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("record", [
+        {"request_hash": "0" * 64, "completion": 5},
+        {"request_hash": "0" * 64, "completion": None},
+        {"request_hash": 5, "completion": "text"},
+    ])
+    def test_bad_replay_record_rejected_on_load(self, dataset, tmp_path, record, capsys):
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        assert run(["augment", dataset, "--transport", "replay", "--replay-file", replay,
+                    "--out", tmp_path / "a.jsonl", "--scores", tmp_path / "s.json"]) == 2
+        assert "line 1: bad replay record" in capsys.readouterr().err
 
 
 class TestUsage:

@@ -9,7 +9,6 @@ from zgptda.corpus import (
     LoadError,
     first_digits,
     load_jsonl,
-    split_sentences,
     tokenize,
 )
 
@@ -116,7 +115,7 @@ class TestTokenize:
         assert first.chars == second.chars
 
     def test_split_sentences_keeps_wordful_segments(self):
-        assert split_sentences("One two. ... Three!") == ["One two", " Three"]
+        assert tokenize(Document("x", "One two. ... Three!")).sentence_texts == ["One two", " Three"]
 
 
 class TestFirstDigits:

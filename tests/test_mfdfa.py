@@ -234,22 +234,22 @@ class TestMandelbrotConformity:
         scales = np.array([16, 32, 64, 128, 256])
         values = (scales.astype(float) ** 0.7)[None, :]
         fl = FluctuationMatrix(values=values, q_grid=np.array([2.0]), scales=scales)
-        fit = mandelbrot_conformity(fl, 2.0)
+        fit = mandelbrot_conformity(fl)
         assert fit.exponent == pytest.approx(0.7, abs=1e-9)
         assert fit.metrics.r2 == 1.0
 
     def test_white_noise_exponent(self):
         rng = np.random.default_rng(12)
         fluct, _ = run_mfdfa(ScalarSeries(rng.standard_normal(30_000), "wn"))
-        fit = mandelbrot_conformity(fluct, 2.0)
+        fit = mandelbrot_conformity(fluct)
         assert fit.exponent == pytest.approx(0.5, abs=0.07)
 
     def test_q_ref_must_be_on_grid(self):
         fl = FluctuationMatrix(
-            values=np.ones((1, 3)), q_grid=np.array([2.0]), scales=np.array([16, 24, 32])
+            values=np.ones((1, 3)), q_grid=np.array([3.0]), scales=np.array([16, 24, 32])
         )
         with pytest.raises(ValueError):
-            mandelbrot_conformity(fl, 3.0)
+            mandelbrot_conformity(fl)
 
 
 class TestEndToEndOnText:
@@ -257,7 +257,7 @@ class TestEndToEndOnText:
         series = build_series(book_a, HashedTrigramEmbedder())
         assert series.source.endswith("/sentence")
         fluct, spec = run_mfdfa(series)
-        fit = mandelbrot_conformity(fluct, 2.0)
+        fit = mandelbrot_conformity(fluct)
         assert np.isfinite(fit.exponent)
         assert np.isfinite(spec.delta_alpha)
         assert np.all(np.isfinite(spec.h))
