@@ -18,6 +18,7 @@ import math
 import os
 import random
 import time
+import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -236,8 +237,12 @@ class LiveTransport(Transport):
     """HTTP chat-completion client with bounded retries and backoff.
 
     The API key is read from the ``ZGPTDA_API_KEY`` environment variable.
-    A retryable failure is retried up to MAX_RETRIES times, after sleeping
-    BACKOFF_S, then twice that, and so on.
+    A retryable failure (a retryable status, a connection error or a
+    timeout) is retried up to MAX_RETRIES times, after sleeping BACKOFF_S,
+    then twice that, and so on; any other failure is raised at once.
+
+    Raises:
+        ValueError: the endpoint is not an http or https URL with a host.
     """
 
     RETRYABLE_STATUS = frozenset({429, 500, 502, 503, 504})
@@ -246,6 +251,9 @@ class LiveTransport(Transport):
     TIMEOUT_S = 60.0
 
     def __init__(self, endpoint: str):
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"endpoint {endpoint!r} is not an http(s) URL with a host")
         self.endpoint = endpoint
         self.api_key = os.environ.get(API_KEY_ENV)
         self.transport_id = f"live:{endpoint}"
@@ -265,9 +273,11 @@ class LiveTransport(Transport):
                 resp = requests.post(
                     self.endpoint, json=payload, headers=headers, timeout=self.TIMEOUT_S
                 )
-            except requests.RequestException as exc:
+            except (requests.ConnectionError, requests.Timeout) as exc:
                 last_error = exc
                 continue
+            except requests.RequestException as exc:
+                raise TransportError(f"request failed: {exc}") from exc
             if resp.status_code in self.RETRYABLE_STATUS:
                 last_error = TransportError(f"HTTP {resp.status_code}")
                 continue

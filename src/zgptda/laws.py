@@ -140,9 +140,14 @@ def hilberg_series(ts: TokenStream, max_block: int = HILBERG_MAX_BLOCK) -> Empir
             # next keys fit int64), and bincount counts them by first occurrence
             keys = blocks[:total] * n_types + codes[mu - 1 :]
             perm = np.argsort(keys)
-            starts = np.flatnonzero(np.diff(keys[perm], prepend=-1))
+            sorted_keys = keys[perm]
+            # the bounds of the groups of equal keys: 0, each change, total
+            edge = np.ones(total + 1, bool)
+            edge[1:total] = sorted_keys[1:] != sorted_keys[:-1]
+            bounds = np.flatnonzero(edge)
+            starts = bounds[:-1]
             blocks = np.empty_like(keys)
-            blocks[perm] = np.repeat(np.minimum.reduceat(perm, starts), np.diff(starts, append=total))
+            blocks[perm] = np.repeat(np.minimum.reduceat(perm, starts), bounds[1:] - starts)
         counts = np.bincount(blocks)
         probs = counts[counts > 0] / total
         xs.append(mu)
@@ -171,16 +176,20 @@ def ebeling_series(ts: TokenStream) -> EmpiricalSeries:
     # nonzero (character, window) cells are runs, which start at a character's
     # first position or where pos // u changes, i.e. for u a power of two,
     # where pos differs from the position before it in a bit worth u or more;
-    # split holds each position XOR the one before it, in place
-    split = np.argsort(codes, kind="stable")
-    split ^= np.roll(split, 1)
-    split[np.cumsum(totals[totals > 0]) % c] = c  # the last sum, c, wraps to 0
+    # split holds each position XOR the one before it, c at each character's
+    # first position, and c past the end, so every run ends where the next starts
+    order = np.argsort(codes, kind="stable")
+    split = np.empty(c + 1, order.dtype)
+    split[1:c] = order[1:] ^ order[:-1]
+    split[0] = c
+    split[np.cumsum(totals[totals > 0])] = c
     xs: list[int] = []
     ys: list[float] = []
     u = 2
     while u <= c // EBELING_MIN_WINDOWS:
         n_win = c // u
-        run_lens = np.diff(np.flatnonzero(split >= u), append=c)
+        bounds = np.flatnonzero(split >= u)
+        run_lens = bounds[1:] - bounds[:-1]
         # less the partial last window's cells; then sum_k var_k is
         # (n_win * sum_wk n_wk^2 - sum_k T_k^2) / n_win^2, exact in Python ints
         tail = np.bincount(codes[n_win * u :], minlength=totals.size)

@@ -19,6 +19,7 @@ files (JSONL of {"id", "unit_index", "vector"}).
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,12 @@ _F2_FLOOR = 1e-30
 # most grams whose buckets one HashedTrigramEmbedder keeps (1 MB); scoring
 # 200 texts of 1,200 words meets about 9,000 distinct grams
 _GRAM_CACHE_MAX = 2 ** 16
+
+# most float64 cells the detrending bases kept by _detrend_basis hold (2 MB);
+# scoring 500 texts of ~186 words meets 61 window sizes, 5,618 cells
+_BASIS_CACHE_MAX = 2 ** 18
+_bases: dict[tuple[int, int], np.ndarray] = {}
+_bases_lock = threading.Lock()
 
 
 class ProviderError(Exception):
@@ -168,7 +175,8 @@ class HashedTrigramEmbedder(EmbeddingProvider):
         pairs = np.sort(np.concatenate([grams[inside], short_codes]) << 32
                         | np.concatenate([unit_of[inside], short]))
         codes = pairs >> 32
-        is_first = np.diff(codes, prepend=-1) != 0
+        is_first = np.ones(codes.size, bool)
+        is_first[1:] = codes[1:] != codes[:-1]
         buckets = self._buckets(codes[is_first])[np.cumsum(is_first) - 1]
         counts = np.bincount(
             (pairs & 0xFFFFFFFF) * self.dimension + buckets, minlength=len(units) * self.dimension
@@ -304,6 +312,26 @@ def default_scales(n: int) -> np.ndarray:
     return np.unique(np.round(np.geomspace(MIN_SCALE, n // 4, N_SCALES)).astype(int))
 
 
+def _detrend_basis(s: int, m: int) -> np.ndarray:
+    """Orthonormal basis (s x (m + 1), read-only) of the order-m polynomials
+    on a window of s points.
+
+    Each basis is built once per process and kept while the kept bases hold
+    at most :data:`_BASIS_CACHE_MAX` cells; when one more would overflow
+    them, they start again from it.
+    """
+    basis = _bases.get((s, m))
+    if basis is None:
+        basis, _ = np.linalg.qr(np.vander(np.arange(s, dtype=float), m + 1))
+        basis.flags.writeable = False
+        if basis.size <= _BASIS_CACHE_MAX:
+            with _bases_lock:
+                if sum(b.size for b in _bases.values()) + basis.size > _BASIS_CACHE_MAX:
+                    _bases.clear()
+                _bases[(s, m)] = basis
+    return basis
+
+
 def fluctuation(prof, scales, q_grid, m: int = 1) -> FluctuationMatrix:
     """Compute F_q(s) over the scale and q grids.
 
@@ -320,9 +348,9 @@ def fluctuation(prof, scales, q_grid, m: int = 1) -> FluctuationMatrix:
     n = prof.size
     if scales.size == 0 or q_grid.size == 0:
         raise ValueError("scales and q_grid must be non-empty")
-    if np.any(scales < MIN_SCALE) or np.any(scales > n // 4):
+    if scales.min() < MIN_SCALE or scales.max() > n // 4:
         raise ValueError(f"scales must satisfy {MIN_SCALE} <= s <= n//4 = {n // 4}")
-    if np.any(np.diff(scales) <= 0):
+    if (scales[1:] <= scales[:-1]).any():
         raise ValueError("scales must be strictly increasing")
     if m < 1:
         raise ValueError("detrend order must be >= 1")
@@ -331,13 +359,13 @@ def fluctuation(prof, scales, q_grid, m: int = 1) -> FluctuationMatrix:
     for s in scales.tolist():
         n_win = n // s
         windows = np.concatenate([prof[: n_win * s], prof[n - n_win * s:]]).reshape(2 * n_win, s)
-        # orthonormal basis of the order-m polynomials on a window; each
-        # window's residual is what its projection onto them leaves
-        basis, _ = np.linalg.qr(np.vander(np.arange(s, dtype=float), m + 1))
+        # each window's residual is what its projection onto the order-m
+        # polynomials leaves
+        basis = _detrend_basis(s, m)
         resid = windows - (windows @ basis) @ basis.T
         f2.append(np.einsum("ij,ij->i", resid, resid) / s)
     f2 = np.concatenate(f2)
-    floored = bool(np.any(f2 < _F2_FLOOR))
+    floored = bool((f2 < _F2_FLOOR).any())
     f2 = np.maximum(f2, _F2_FLOOR)
     # the windows of scale j are the counts[j] entries of f2 from starts[j]
     counts = 2 * (n // scales)
@@ -400,7 +428,8 @@ def conformity_series(fluct: FluctuationMatrix) -> EmpiricalSeries:
     Raises:
         ValueError: Q_REF is not on the q grid.
     """
-    matches = np.flatnonzero(np.isclose(fluct.q_grid, Q_REF))
+    # np.isclose(q_grid, Q_REF) written out; NaN and +-inf never match
+    matches = np.flatnonzero(abs(fluct.q_grid - Q_REF) <= 1e-8 + 1e-5 * abs(Q_REF))
     if matches.size == 0:
         raise ValueError(f"Q_REF={Q_REF} is not on the q grid")
     return EmpiricalSeries(fluct.scales.astype(float), fluct.values[matches[0]], law="mandelbrot")

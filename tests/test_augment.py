@@ -213,6 +213,23 @@ class TestLiveTransport:
         assert sleeps == []
         assert pending == [200]
 
+    def test_unretryable_request_error_raises_at_once(self, post):
+        import requests
+
+        install, sleeps = post
+        bad = requests.exceptions.InvalidURL("Failed to parse")
+        pending = install(bad, 200)
+        with pytest.raises(TransportError, match="request failed") as exc_info:
+            self.complete()
+        assert exc_info.value.__cause__ is bad
+        assert sleeps == []
+        assert pending == [200]
+
+    @pytest.mark.parametrize("endpoint", ["localhost:9/v1", "ftp://localhost/v1", "http:///v1", ""])
+    def test_endpoint_needs_http_scheme_and_host(self, endpoint):
+        with pytest.raises(ValueError, match="is not an http\\(s\\) URL with a host"):
+            LiveTransport(endpoint)
+
     def test_exhausted_after_four_attempts(self, post):
         import requests
 

@@ -227,6 +227,26 @@ class TestAugment:
         assert run(["augment", dataset, *flags, "--out", out, "--scores", tmp_path / "s.json"]) == 1
         assert not out.exists()
 
+    def test_schemeless_endpoint_is_usage_error(self, dataset, tmp_path, monkeypatch, capsys):
+        # requests raises MissingSchema for an endpoint without a scheme; no
+        # retry can mend it, so it is rejected before any request is made
+        import requests
+
+        calls, sleeps = [], []
+
+        def fake_post(url, *args, **kwargs):
+            calls.append(url)
+            raise requests.exceptions.MissingSchema(f"Invalid URL {url!r}: No scheme supplied")
+
+        monkeypatch.setattr(requests, "post", fake_post)
+        monkeypatch.setattr("zgptda.augment.time.sleep", sleeps.append)
+        out = tmp_path / "a.jsonl"
+        assert run(["augment", dataset, "--transport", "live", "--endpoint", "localhost:9/v1",
+                    "--n", "2", "--out", out, "--scores", tmp_path / "s.json"]) == 1
+        assert "is not an http(s) URL with a host" in capsys.readouterr().err
+        assert calls == [] and sleeps == []
+        assert not out.exists()
+
     @pytest.fixture
     def non_json_200(self, monkeypatch):
         """Every POST answers HTTP 200 with an HTML body; nothing leaves the process."""

@@ -222,6 +222,9 @@ def test_wide_alphabet_ebeling_matches_reference(chars):
     "a a a a a a a a a a a a a a a a a a.",      # a single type
     "a b. a c. b c a. d",                       # fewer than 3 segments at 100
     "one two three four five.",
+    # 60 distinct words: every hilberg block size has groups of one block only
+    " ".join(a + b for a in "bcdfghjklm" for b in "aeiouy") + ".",
+    "a" * 16,                                   # ebeling: one u, one run per window
 ])
 @pytest.mark.parametrize("segment_len", [1, 2, 100])
 def test_edge_texts_match_reference(text, segment_len):

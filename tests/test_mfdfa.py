@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import zgptda.mfdfa as mfdfa
 from zgptda.corpus import Document
 from zgptda.fitkit import NotFittable
 from zgptda.mfdfa import (
@@ -12,8 +15,10 @@ from zgptda.mfdfa import (
     FluctuationMatrix,
     HashedTrigramEmbedder,
     ProviderError,
+    Q_REF,
     ScalarSeries,
     build_series,
+    conformity_series,
     default_scales,
     fluctuation,
     mandelbrot_conformity,
@@ -194,6 +199,77 @@ class TestFluctuation:
             fluctuation(prof, scales, [2.0])
 
 
+def qr_fluctuation(prof, scales, q_grid, m=1):
+    """The reference: fluctuation with a QR basis built per scale and call."""
+    prof = np.asarray(prof, dtype=float)
+    scales = np.asarray(scales, dtype=int)
+    q_grid = np.asarray(q_grid, dtype=float)
+    n = prof.size
+    f2 = []
+    for s in scales.tolist():
+        n_win = n // s
+        windows = np.concatenate([prof[: n_win * s], prof[n - n_win * s:]]).reshape(2 * n_win, s)
+        basis, _ = np.linalg.qr(np.vander(np.arange(s, dtype=float), m + 1))
+        resid = windows - (windows @ basis) @ basis.T
+        f2.append(np.einsum("ij,ij->i", resid, resid) / s)
+    f2 = np.concatenate(f2)
+    floored = bool(np.any(f2 < 1e-30))
+    f2 = np.maximum(f2, 1e-30)
+    counts = 2 * (n // scales)
+    starts = np.cumsum(counts) - counts
+    values = np.empty((q_grid.size, scales.size))
+    zero = q_grid == 0.0
+    q = q_grid[~zero, None]
+    values[~zero] = (np.add.reduceat(f2 ** (q / 2.0), starts, axis=1) / counts) ** (1.0 / q)
+    values[zero] = np.exp(0.5 * np.add.reduceat(np.log(f2), starts) / counts)
+    return FluctuationMatrix(values=values, q_grid=q_grid, scales=scales, floored=floored)
+
+
+def kept_cells():
+    return sum(b.size for b in mfdfa._bases.values())
+
+
+class TestBasisMemo:
+    """fluctuation with the per-process basis memo against the per-call QR."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(64, 2000), st.booleans(), st.data())
+    def test_bit_identical_to_per_call_qr(self, seed, n, heavy, data):
+        rng = np.random.default_rng(seed)
+        steps = rng.standard_t(2.0, n) if heavy else rng.standard_normal(n)
+        prof = profile(ScalarSeries(steps, "walk"))
+        scales = data.draw(st.one_of(
+            st.just(default_scales(n)),
+            st.lists(st.integers(16, n // 4), min_size=1, max_size=12, unique=True).map(sorted),
+        ))
+        expected = {m: qr_fluctuation(prof, scales, DEFAULT_Q_GRID, m=m) for m in (1, 2, 3)}
+        mfdfa._bases.clear()
+        for memo in ("cold", "warm"):
+            for m in (1, 2, 3):
+                got = fluctuation(prof, scales, DEFAULT_Q_GRID, m=m)
+                assert got.values.tobytes() == expected[m].values.tobytes(), (memo, m)
+                assert got.floored == expected[m].floored
+                assert got.scales.tolist() == expected[m].scales.tolist()
+
+    def test_basis_is_read_only(self):
+        for s, m in [(20, 1), (mfdfa._BASIS_CACHE_MAX, 1)]:  # kept, and too large to keep
+            basis = mfdfa._detrend_basis(s, m)
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0] = 1.0
+
+    def test_memo_never_retains_more_than_the_cap(self, monkeypatch):
+        monkeypatch.setattr(mfdfa, "_bases", {})
+        cap = mfdfa._BASIS_CACHE_MAX
+        for s in range(10_000, 140_000, 9_000):
+            for m in (1, 2, 3):
+                basis = mfdfa._detrend_basis(s, m)
+                assert kept_cells() <= cap
+                # each kept basis owns its data, so its cells are all it retains
+                assert all(b.base is None for b in mfdfa._bases.values())
+                assert (mfdfa._bases.get((s, m)) is basis) == (basis.size <= cap)
+
+
 class TestSpectrum:
     def test_cascade_matches_analytic(self):
         fluct, spec = run_mfdfa(ScalarSeries(binomial_cascade(), "cascade"))
@@ -250,6 +326,22 @@ class TestMandelbrotConformity:
         )
         with pytest.raises(ValueError):
             mandelbrot_conformity(fl)
+
+
+    @pytest.mark.parametrize("q", [2.0, 2.0 + 1e-9, 2.001, 2.0 + 2e-5, 2.0 + 3e-5, 1.9999,
+                                   -2.0, np.nan, np.inf, -np.inf])
+    def test_q_ref_tolerance_is_isclose(self, q):
+        grid = np.array([0.5, q, 2.0])
+        fl = FluctuationMatrix(values=np.arange(1.0, 10.0).reshape(3, 3), q_grid=grid,
+                               scales=np.array([16, 24, 32]))
+        row = np.flatnonzero(np.isclose(grid, Q_REF))[0]
+        assert conformity_series(fl).y.tolist() == fl.values[row].tolist()
+        fl.q_grid = grid[:2]
+        if np.isclose(q, Q_REF):
+            assert conformity_series(fl).y.tolist() == fl.values[1].tolist()
+        else:
+            with pytest.raises(ValueError, match="is not on the q grid"):
+                conformity_series(fl)
 
 
 class TestEndToEndOnText:
