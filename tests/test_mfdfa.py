@@ -327,7 +327,6 @@ class TestMandelbrotConformity:
         with pytest.raises(ValueError):
             mandelbrot_conformity(fl)
 
-
     @pytest.mark.parametrize("q", [2.0, 2.0 + 1e-9, 2.001, 2.0 + 2e-5, 2.0 + 3e-5, 1.9999,
                                    -2.0, np.nan, np.inf, -np.inf])
     def test_q_ref_tolerance_is_isclose(self, q):
