@@ -20,8 +20,7 @@ import random
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
-from datetime import datetime, timezone
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -378,22 +377,25 @@ def generate_instances(raw: Document, cfg: GenerationConfig, transport: Transpor
 
 @dataclass
 class ScoredInstance:
-    """One generated instance with its full conformity audit trail."""
+    """One generated instance with its full conformity audit trail, from
+    which the laws excluded from its aggregation and ``no_signal`` derive."""
 
     instance: Document
     law_reports: list[LawReport]
     z: ZNumber | None
     suitability: Suitability
     rank: int = 0
-    excluded_laws: list[str] = field(default_factory=list)
-    no_signal: bool = False
+
+    @property
+    def excluded_laws(self) -> list[str]:
+        return [r.law for r in self.law_reports if not r.fittable]
+
+    @property
+    def no_signal(self) -> bool:
+        return self.z is None
 
 
 _FALLBACK_EMBEDDER = HashedTrigramEmbedder()
-
-
-def _unfittable_mandelbrot(exc: NotFittable) -> LawReport:
-    return LawReport(law="mandelbrot", series=None, fit=None, fittable=False, detail=str(exc))
 
 
 def _mandelbrot_report(
@@ -406,8 +408,8 @@ def _mandelbrot_report(
         series = build_series(doc, embedder, ts)
         fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
     except NotFittable as exc:
-        return _unfittable_mandelbrot(exc), None
-    return LawReport(law="mandelbrot", series=conformity_series(fluct), fit=None, fittable=False), fluct
+        return LawReport(law="mandelbrot", series=None, detail=str(exc)), None
+    return LawReport(law="mandelbrot", series=conformity_series(fluct)), fluct
 
 
 def score_instances(
@@ -430,14 +432,7 @@ def score_instances(
     zs, suits = score_laws(np.array([(m.r2, m.kl, m.js, m.mape) for ms in metrics for m in ms]),
                            [len(ms) for ms in metrics])
     return [
-        ScoredInstance(
-            instance=doc,
-            law_reports=reports,
-            z=z,
-            suitability=suit,
-            excluded_laws=[r.law for r in reports if not r.fittable],
-            no_signal=z is None,
-        )
+        ScoredInstance(instance=doc, law_reports=reports, z=z, suitability=suit)
         for doc, reports, z, suit in zip(docs, law_reports, zs, suits)
     ]
 
@@ -471,12 +466,12 @@ def select_augmented(instances: list[ScoredInstance], top_fraction: float) -> li
 
 @dataclass
 class AugmentationRun:
-    """One raw example, its scored instances, and the selected subset."""
+    """One raw example, its scored instances and selected subset, and whether generation failed."""
 
     raw: Document
     instances: list[ScoredInstance]
     selected: list[ScoredInstance]
-    provenance: dict
+    partial: bool
 
 
 def run_augmentation(
@@ -498,21 +493,11 @@ def run_augmentation(
         try:
             docs = generate_instances(raw, cfg, transport)
         except PartialGeneration as exc:
-            docs = exc.instances
-            error = exc
+            docs, error = exc.instances, exc
         scored = rank_instances(score_instances(docs, embedder=embedder)) if docs else []
         selected = select_augmented(scored, cfg.top_fraction) if scored else []
-        runs.append(AugmentationRun(
-            raw=raw,
-            instances=scored,
-            selected=selected,
-            provenance={
-                "transport": transport.transport_id,
-                "config_sha256": cfg.sha256(),
-                "generated_at": datetime.now(timezone.utc).isoformat(),
-                "partial": error is not None,
-            },
-        ))
+        runs.append(AugmentationRun(raw=raw, instances=scored, selected=selected,
+                                    partial=error is not None))
         if error is not None:
             return runs, error
     return runs, None
@@ -619,7 +604,7 @@ def evaluate_corpus(
         try:
             spec = spectrum(fluct)
         except NotFittable as exc:
-            mandelbrot = _unfittable_mandelbrot(exc)
+            mandelbrot = LawReport(law="mandelbrot", series=None, detail=str(exc))
     reports.append(mandelbrot)
     return CorpusEvaluation(
         name=name,
@@ -635,14 +620,15 @@ def evaluate_corpus(
 def _report_cell(report: LawReport) -> dict:
     fit = report.fit
     if fit is None:
-        return {"fittable": report.fittable, "detail": report.detail}
+        return {"fittable": False, "detail": report.detail}
+    m, v = fit.metrics, fit.verdict
     return {
-        "fittable": report.fittable,
+        "fittable": True,
         "exponent": fit.exponent,
         "secondary_exponent": fit.secondary_exponent,
         "prefactor": fit.prefactor,
-        "metrics": asdict(fit.metrics),
-        "verdict": asdict(fit.verdict),
+        "metrics": {"r2": m.r2, "kl": m.kl, "js": m.js, "mape": m.mape},
+        "verdict": {"r2_ok": v.r2_ok, "kl_ok": v.kl_ok, "js_ok": v.js_ok, "mape_ok": v.mape_ok},
     }
 
 

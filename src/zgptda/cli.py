@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import __version__
@@ -181,7 +180,13 @@ def _comparison_csv(report: dict, path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _scores_payload(runs, cfg: GenerationConfig) -> dict:
+def _law_entry(fit) -> dict:
+    m = fit.metrics
+    return {"r2": m.r2, "kl": m.kl, "js": m.js, "mape": m.mape, "exponent": fit.exponent}
+
+
+def _scores_payload(runs, cfg: GenerationConfig, transport_id: str) -> dict:
+    config_sha256 = cfg.sha256()
     payload_runs = []
     for run in runs:
         instances = []
@@ -194,8 +199,7 @@ def _scores_payload(runs, cfg: GenerationConfig) -> dict:
                 "no_signal": item.no_signal,
                 "excluded_laws": item.excluded_laws,
                 "laws": {
-                    r.law: {**asdict(r.fit.metrics), "exponent": r.fit.exponent} if r.fittable else None
-                    for r in item.law_reports
+                    r.law: _law_entry(r.fit) if r.fittable else None for r in item.law_reports
                 },
             }
             if item.z is not None:
@@ -203,9 +207,9 @@ def _scores_payload(runs, cfg: GenerationConfig) -> dict:
             instances.append(entry)
         payload_runs.append({
             "raw_id": run.raw.id,
-            "transport": run.provenance["transport"],
-            "config_sha256": run.provenance["config_sha256"],
-            "partial": run.provenance["partial"],
+            "transport": transport_id,
+            "config_sha256": config_sha256,
+            "partial": run.partial,
             "selected_ids": [s.instance.id for s in run.selected],
             "instances": instances,
         })
@@ -259,7 +263,7 @@ def cmd_augment(args) -> int:
         return EXIT_TRANSPORT
 
     n_records = emit_dataset(raws, runs, args.out)
-    _write_json(args.scores, _scores_payload(runs, cfg))
+    _write_json(args.scores, _scores_payload(runs, cfg, transport.transport_id))
     if recorder is not None:
         recorder.dump(args.record_file)
     _write_manifest(args.out, "augment", args, [args.input], started)
@@ -375,6 +379,12 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, the code reserved for transport
         # failures; --help and --version exit 0
         return EXIT_INPUT if exc.code else EXIT_OK
+    # checked before any work, so no paid completion is lost to a bad path;
+    # --series-csv is a directory the command creates
+    for path in filter(None, map(vars(args).get, ("out", "scores", "record_file", "csv"))):
+        if not os.path.isdir(os.path.dirname(str(path)) or "."):
+            print(f"error: the directory of {path} does not exist", file=sys.stderr)
+            return EXIT_INPUT
     try:
         return args.func(args)
     except (LoadError, FileNotFoundError, ValueError) as exc:

@@ -51,9 +51,12 @@ class LawReport:
 
     law: str
     series: EmpiricalSeries | None
-    fit: LawFit | None
-    fittable: bool
+    fit: LawFit | None = None
     detail: str = ""
+
+    @property
+    def fittable(self) -> bool:
+        return self.fit is not None
 
 
 def zipf_series(ts: TokenStream) -> EmpiricalSeries:
@@ -250,9 +253,9 @@ def build_all(
     reports: list[LawReport] = []
     for law in LAW_NAMES:
         try:
-            reports.append(LawReport(law=law, series=series_of[law](), fit=None, fittable=False))
+            reports.append(LawReport(law=law, series=series_of[law]()))
         except NotFittable as exc:
-            reports.append(LawReport(law=law, series=None, fit=None, fittable=False, detail=str(exc)))
+            reports.append(LawReport(law=law, series=None, detail=str(exc)))
     return reports
 
 
@@ -273,7 +276,7 @@ def fit_reports(reports: list[LawReport]) -> list[LawReport]:
         if isinstance(fit, NotFittable):
             report.detail = str(fit)
         else:
-            report.fit, report.fittable = fit, True
+            report.fit = fit
     return reports
 
 

@@ -414,8 +414,8 @@ class TestRunAugmentation:
         runs, err = run_augmentation(raws, cfg, FailSecond())
         assert err is not None
         assert len(runs) == 2
-        assert not runs[0].provenance["partial"]
-        assert runs[1].provenance["partial"]
+        assert not runs[0].partial
+        assert runs[1].partial
         assert len(runs[1].instances) == 2  # slots 1..2 succeeded
 
     def test_partial_batch_scored_once_and_empty_batch_not_at_all(self, monkeypatch):
@@ -454,7 +454,7 @@ class TestRunAugmentation:
         assert isinstance(err, PartialGeneration) and err.instances == []
         assert calls == []
         assert (runs[0].instances, runs[0].selected) == ([], [])
-        assert runs[0].provenance["partial"]
+        assert runs[0].partial
 
 
 class TestCompareCorpora:

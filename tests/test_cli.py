@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from zgptda.augment import GenerationConfig, MockTransport
 from zgptda.cli import main
 from tests.conftest import make_raw_dataset
 
@@ -34,6 +35,22 @@ class TestAnalyze:
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert run(["analyze", tmp_path / "nope.jsonl", "--out", tmp_path / "r.json"]) == 1
         assert "nope.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", [("analyze", "--out"), ("compare", "--csv")])
+    def test_missing_output_directory_rejected_before_analysis(self, dataset, tmp_path, command, flag,
+                                                               monkeypatch, capsys):
+        import zgptda.augment
+        import zgptda.cli
+
+        calls = []
+        for module in (zgptda.cli, zgptda.augment):  # compare_corpora calls it from augment
+            monkeypatch.setattr(module, "evaluate_corpus", lambda *a, **kw: calls.append(a))
+        missing = tmp_path / "nodir" / "out"
+        inputs = [dataset] * (2 if command == "compare" else 1)
+        assert run([command, *inputs, "--out", tmp_path / "r.json", flag, missing]) == 1
+        err = capsys.readouterr().err
+        assert str(missing) in err and ".tmp" not in err
+        assert calls == []
 
     def test_malformed_file_exit_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -290,6 +307,45 @@ class TestAugment:
         assert run(["augment", dataset, "--transport", "live", "--endpoint", "http://localhost:9/v1",
                     "--n", "2", "--out", tmp_path / "a.jsonl", "--scores", tmp_path / "s.json"]) == 2
         assert "response carries no text completion" in capsys.readouterr().err
+
+    def test_runs_carry_the_commands_transport_config_and_partial_flag(self, dataset, tmp_path):
+        rec, first_two = tmp_path / "gens.jsonl", tmp_path / "first_two.jsonl"
+        first_two.write_text("".join(dataset.read_text().splitlines(keepends=True)[:2]),
+                             encoding="utf-8")
+        scores = tmp_path / "s1.json"
+        flags = ["--n", "3", "--fraction", "0.5", "--seed", "1"]
+        assert run(["augment", first_two, "--transport", "mock", *flags, "--out", tmp_path / "a1.jsonl",
+                    "--scores", scores, "--record-file", rec]) == 0
+        runs = json.loads(scores.read_text())["runs"]
+        config_sha256 = GenerationConfig(n_instances=3, top_fraction=0.5, seed=1).sha256()
+        assert [(r["transport"], r["config_sha256"], r["partial"]) for r in runs] == [
+            ("recording(mock:1)", config_sha256, False)] * 2
+
+        # the recording covers the first two raws only: the third misses
+        scores = tmp_path / "s2.json"
+        assert run(["augment", dataset, "--transport", "replay", "--replay-file", rec, *flags,
+                    "--out", tmp_path / "a2.jsonl", "--scores", scores, "--keep-partial"]) == 2
+        runs = json.loads(scores.read_text())["runs"]
+        assert [(r["raw_id"], r["transport"], r["partial"]) for r in runs] == [
+            ("r0", f"replay:{rec}", False), ("r1", f"replay:{rec}", False), ("r2", f"replay:{rec}", True)]
+        assert {r["config_sha256"] for r in runs} == {config_sha256}
+
+    @pytest.mark.parametrize("flag", ["--out", "--scores", "--record-file"])
+    def test_missing_output_directory_rejected_before_generation(self, dataset, tmp_path, flag,
+                                                                 monkeypatch, capsys):
+        calls = []
+        complete = MockTransport.complete
+        monkeypatch.setattr(MockTransport, "complete",
+                            lambda self, *a, **kw: calls.append(a) or complete(self, *a, **kw))
+        paths = {"--out": tmp_path / "a.jsonl", "--scores": tmp_path / "s.json",
+                 "--record-file": tmp_path / "rec.jsonl"}
+        paths[flag] = missing = tmp_path / "nodir" / "x.json"
+        assert run(["augment", dataset, "--transport", "mock", "--n", "2",
+                    *(a for item in paths.items() for a in item)]) == 1
+        err = capsys.readouterr().err
+        assert str(missing) in err and ".tmp" not in err
+        assert calls == []
+        assert not any(p.exists() for p in paths.values())
 
     @pytest.mark.parametrize("record", [
         {"request_hash": "0" * 64, "completion": 5},

@@ -156,11 +156,11 @@ def ref_report(law, build, fit):
     try:
         series = build()
     except NotFittable as exc:
-        return LawReport(law=law, series=None, fit=None, fittable=False, detail=str(exc))
+        return LawReport(law=law, series=None, detail=str(exc))
     try:
-        return LawReport(law=law, series=series, fit=fit(series), fittable=True)
+        return LawReport(law=law, series=series, fit=fit(series))
     except NotFittable as exc:
-        return LawReport(law=law, series=series, fit=None, fittable=False, detail=str(exc))
+        return LawReport(law=law, series=series, detail=str(exc))
 
 
 def ref_mandelbrot_series(doc):
@@ -188,9 +188,7 @@ def ref_score_instance(doc):
         suit = ref_suitability(z.a_t, z.b_t)
     else:
         z, suit = None, Suitability(s=0.0, s_prime_centroid=1.0)
-    return ScoredInstance(instance=doc, law_reports=reports, z=z, suitability=suit,
-                          excluded_laws=[r.law for r in reports if not r.fittable],
-                          no_signal=z is None)
+    return ScoredInstance(instance=doc, law_reports=reports, z=z, suitability=suit)
 
 
 # --- comparison -------------------------------------------------------------------
