@@ -24,15 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Document, TokenStream, tokenize
-from .fitkit import NotFittable
-from .laws import (HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport, build_all,
+from .corpus import Document, tokenize
+from .fitkit import NotFittable, _attempt
+from .laws import (HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport, build_all_many,
                    evaluate_all, fit_reports)
 # mandelbrot_conformity, law_vector, aggregate and infer_suitability are not
 # called here: perfbench/instrument.py looks them up on this module
 from .mfdfa import (DEFAULT_Q_GRID, Q_REF, EmbeddingProvider, FluctuationMatrix,  # noqa: F401
-                    HashedTrigramEmbedder, MultifractalSpectrum, build_series, conformity_series,
-                    default_scales, fluctuation, mandelbrot_conformity, profile, spectrum)
+                    HashedTrigramEmbedder, MultifractalSpectrum, ScalarSeries, build_series,
+                    build_series_many, conformity_series, default_scales, fluctuation,
+                    mandelbrot_conformity, profile, spectrum)
 from .zscore import (Suitability, ZNumber, aggregate, infer_suitability,  # noqa: F401
                      law_vector, score_laws)
 
@@ -399,13 +400,15 @@ _FALLBACK_EMBEDDER = HashedTrigramEmbedder()
 
 
 def _mandelbrot_report(
-    doc: Document, ts: TokenStream, embedder: EmbeddingProvider, q_grid, m: int
+    series: ScalarSeries | NotFittable, q_grid, m: int
 ) -> tuple[LawReport, FluctuationMatrix | None]:
     """The multifractal law's report with its series F_{Q_REF}(s), not yet
-    fitted, plus F_q(s) over ``q_grid`` (which must hold Q_REF); the matrix
-    is None when the text is too short to compute it."""
+    fitted, plus F_q(s) over ``q_grid`` (which must hold Q_REF), from a
+    text's scalar series or the NotFittable its build raised; the matrix is
+    None when the text is too short to compute it."""
     try:
-        series = build_series(doc, embedder, ts)
+        if isinstance(series, NotFittable):
+            raise series
         fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
     except NotFittable as exc:
         return LawReport(law="mandelbrot", series=None, detail=str(exc)), None
@@ -417,16 +420,19 @@ def score_instances(
 ) -> list[ScoredInstance]:
     """Fit all eight laws on each document and attach its suitability.
 
-    The documents are scored as one batch: the log-log laws of every
-    document are fitted by one segmented reduction, and all fitted laws are
-    graded as one array and inferred on one grid. Unfittable laws are
+    The documents are scored as one batch: the token-level laws but taylor
+    are built, the units embedded, the log-log and first-digit laws fitted,
+    and all fitted laws graded and inferred, each for all documents at once;
+    tokenizing and fluctuation run per document. Unfittable laws are
     excluded from their instance's aggregation (the Z-number mean
     renormalizes over the rest) and listed in ``excluded_laws``. An instance
     with zero fittable laws is flagged ``no_signal`` and scored 0.
     """
-    embedder = embedder or _FALLBACK_EMBEDDER
-    law_reports = [build_all(ts := tokenize(doc)) + [_mandelbrot_report(doc, ts, embedder, (Q_REF,), 1)[0]]
-                   for doc in docs]
+    tss = [tokenize(doc) for doc in docs]
+    law_reports = build_all_many(tss)
+    all_series = build_series_many(docs, embedder or _FALLBACK_EMBEDDER, tss)
+    for reports, series in zip(law_reports, all_series):
+        reports.append(_mandelbrot_report(series, (Q_REF,), 1)[0])
     fit_reports([r for reports in law_reports for r in reports])
     metrics = [[r.fit.metrics for r in reports if r.fittable] for reports in law_reports]
     zs, suits = score_laws(np.array([(m.r2, m.kl, m.js, m.mape) for ms in metrics for m in ms]),
@@ -595,9 +601,8 @@ def evaluate_corpus(
     ts = tokenize(merged)
     reports = evaluate_all(ts, segment_len=segment_len, max_block=max_block)
     q_grid = DEFAULT_Q_GRID if with_spectrum else (Q_REF,)
-    mandelbrot, fluct = _mandelbrot_report(
-        merged, ts, embedder or _FALLBACK_EMBEDDER, q_grid, m=detrend_order
-    )
+    series = _attempt(build_series, merged, embedder or _FALLBACK_EMBEDDER, ts)
+    mandelbrot, fluct = _mandelbrot_report(series, q_grid, m=detrend_order)
     fit_reports([mandelbrot])
     spec = None
     if with_spectrum and fluct is not None:

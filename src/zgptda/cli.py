@@ -43,6 +43,12 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_TRANSPORT = 2
 
+# (flag, argument name) of the files a command writes, and of those it reads
+_OUTPUTS = (("--out", "out"), ("--scores", "scores"), ("--record-file", "record_file"),
+            ("--csv", "csv"))
+_INPUTS = (("input", "input"), ("corpus_a", "corpus_a"), ("corpus_b", "corpus_b"),
+           ("--replay-file", "replay_file"), ("--embeddings", "embeddings"))
+
 
 def _sha256_file(path) -> str:
     h = hashlib.sha256()
@@ -70,6 +76,23 @@ def _write_manifest(out_path, command: str, args: argparse.Namespace, inputs, st
         "duration_s": finished - started,
     }
     _write_json(f"{out_path}.manifest.json", manifest)
+
+
+def _shared_path(args) -> str | None:
+    """Which two flags name one file, where one of them is an output, if any."""
+    given = vars(args)
+    outputs = [(flag, given[dest]) for flag, dest in _OUTPUTS if given.get(dest)]
+    if given.get("out"):
+        outputs.append(("the manifest of --out", f"{given['out']}.manifest.json"))
+    inputs = [(flag, given[dest]) for flag, dest in _INPUTS if given.get(dest)]
+    written: dict[str, str] = {}
+    for k, (flag, path) in enumerate(outputs + inputs):
+        real = os.path.realpath(path)
+        if real in written:
+            return f"{written[real]} and {flag} name one file, {path}"
+        if k < len(outputs):
+            written[real] = flag
+    return None
 
 
 def _embedder(args):
@@ -385,6 +408,10 @@ def main(argv=None) -> int:
         if not os.path.isdir(os.path.dirname(str(path)) or "."):
             print(f"error: the directory of {path} does not exist", file=sys.stderr)
             return EXIT_INPUT
+    shared = _shared_path(args)
+    if shared:
+        print(f"error: {shared}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except (LoadError, FileNotFoundError, ValueError) as exc:

@@ -24,6 +24,7 @@ __all__ = [
     "fit_loglog",
     "fit_loglog_many",
     "fit_benford",
+    "fit_benford_many",
     "R2_MIN",
     "KL_MAX",
     "JS_MAX",
@@ -246,10 +247,47 @@ def fit_loglog(series: EmpiricalSeries) -> LawFit:
     Raises:
         NotFittable: fewer than 3 positive points.
     """
-    [fit] = fit_loglog_many([series])
-    if isinstance(fit, NotFittable):
-        raise fit
-    return fit
+    return _only(fit_loglog_many([series]))
+
+
+def _attempt(solve, *args):
+    """``solve(*args)``, or the NotFittable it raises."""
+    try:
+        return solve(*args)
+    except NotFittable as exc:
+        return exc
+
+
+def _only(results):
+    """The one result of a one-item batch, raised if it is a NotFittable."""
+    [result] = results
+    if isinstance(result, NotFittable):
+        raise result
+    return result
+
+
+def fit_benford_many(rows) -> list[LawFit | NotFittable]:
+    """:func:`fit_benford` of each row of nine frequencies, or the
+    :class:`NotFittable` it raises alone. The two products of a row are taken
+    on their own, so they round as for that row alone; the rest is one batch."""
+    if not len(rows):
+        return []
+    f = np.asarray(rows, dtype=float)
+    if f.ndim != 2 or f.shape[1] != 9:
+        raise ValueError("expected 9 digit frequencies (digits 1..9)")
+    if (f < 0).any():
+        raise ValueError("frequencies must be nonnegative")
+    fits = (f > 0).any(axis=1)
+    f = f[fits]
+    beta = np.array([_BENFORD_PINV @ row for row in np.log(np.where(f > 0, f, _EPS))]).reshape(-1, 3)
+    fitted = np.exp(np.array([_BENFORD_DESIGN @ b for b in beta]).reshape(-1, 9))
+    fitted /= fitted.sum(axis=1, keepdims=True)
+    metrics = _segment_metrics(f.ravel(), fitted.ravel(), np.full(len(f), 9))
+    prefactors = np.exp(beta[:, 0]).tolist()
+    laws = iter([LawFit(exponent=-b1, prefactor=c, fitted_y=y, metrics=m, secondary_exponent=b2 + 1.0)
+                 for (_, b1, b2), c, y, m in zip(beta.tolist(), prefactors, fitted, metrics)])
+    return [next(laws) if ok else NotFittable("benford: all digit frequencies are zero")
+            for ok in fits.tolist()]
 
 
 def fit_benford(freqs) -> LawFit:
@@ -266,25 +304,4 @@ def fit_benford(freqs) -> LawFit:
     Raises:
         NotFittable: all nine frequencies are zero.
     """
-    f = np.asarray(freqs, dtype=float)
-    if f.shape != (9,):
-        raise ValueError("expected 9 digit frequencies (digits 1..9)")
-    if np.any(f < 0):
-        raise ValueError("frequencies must be nonnegative")
-    if not np.any(f > 0):
-        raise NotFittable("benford: all digit frequencies are zero")
-
-    smoothed = np.where(f > 0, f, _EPS)
-    beta = _BENFORD_PINV @ np.log(smoothed)
-    kappa = float(-beta[1])
-    omega = float(beta[2] + 1.0)
-    fitted = np.exp(_BENFORD_DESIGN @ beta)
-    fitted = fitted / fitted.sum()
-    metrics = fit_metrics(f, fitted)
-    return LawFit(
-        exponent=kappa,
-        prefactor=float(np.exp(beta[0])),
-        fitted_y=fitted,
-        metrics=metrics,
-        secondary_exponent=omega,
-    )
+    return _only(fit_benford_many([freqs]))

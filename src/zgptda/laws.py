@@ -6,17 +6,23 @@ digits, a gamma-like quasi-scaling curve). Builders raise
 :class:`~zgptda.fitkit.NotFittable` only when no series can be assembled at
 all; degenerate short series are returned as-is and rejected by the
 regression, so callers can always report *why* a law was unavailable.
+
+Each builder but taylor's, ``X_series(ts)``, is the one-text case of
+``X_series_many(tss)``, which builds the series of a batch of texts at once,
+byte for byte as each text alone, and puts in place of a text's series the
+NotFittable that text raises alone.
 """
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .corpus import TokenStream, first_digits
-# fit_loglog is not called here: perfbench/instrument.py looks it up on this module
-from .fitkit import (EmpiricalSeries, LawFit, NotFittable, fit_benford,  # noqa: F401
-                     fit_loglog, fit_loglog_many)
+# fit_loglog and fit_benford are not called here: perfbench/instrument.py looks them up on this module
+from .fitkit import (EmpiricalSeries, LawFit, NotFittable, _attempt, _only, _segments,  # noqa: F401
+                     fit_benford, fit_benford_many, fit_loglog, fit_loglog_many)
 
 __all__ = [
     "LAW_NAMES",
@@ -28,7 +34,14 @@ __all__ = [
     "ebeling_series",
     "menzerath_series",
     "benford_series",
+    "zipf_series_many",
+    "heaps_series_many",
+    "hilberg_series_many",
+    "ebeling_series_many",
+    "menzerath_series_many",
+    "benford_series_many",
     "build_all",
+    "build_all_many",
     "fit_reports",
     "evaluate_all",
 ]
@@ -59,13 +72,56 @@ class LawReport:
         return self.fit is not None
 
 
+def _cut(law, x, y, lengths, fits, detail):
+    """One series per text from the texts' points laid end to end, `lengths`
+    points each, or for a text that `fits` not, NotFittable(`detail`)."""
+    ends = np.cumsum(lengths).tolist()
+    return [EmpiricalSeries(x[end - n:end], y[end - n:end], law=law) if ok else NotFittable(detail)
+            for end, n, ok in zip(ends, np.asarray(lengths).tolist(), fits.tolist())]
+
+
+def _word_codes(tss):
+    """The texts' words as one array of type codes, the types of each text
+    numbered after those of the texts before it, with per-text word counts,
+    first word positions, type counts and first type codes."""
+    local = [ts.codes for ts in tss]
+    n = np.fromiter(map(len, local), np.int64, len(local))
+    n_types = np.fromiter((c.max() + 1 if c.size else 0 for c in local), np.int64, len(local))
+    offsets = np.cumsum(n_types) - n_types
+    # one text keeps its own codes, with no copy
+    codes = local[0] if len(local) == 1 else np.concatenate(
+        [np.empty(0, np.int64), *(c + o for c, o in zip(local, offsets.tolist()))])
+    return codes, n, np.cumsum(n) - n, n_types, offsets
+
+
+def zipf_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | NotFittable]:
+    """:func:`zipf_series` of each text."""
+    codes, n, _, n_types, offsets = _word_codes(tss)
+    counts = np.bincount(codes, minlength=int(n_types.sum()))
+    top = int(counts.max(initial=0)) + 1
+    # each text's counts in descending order: sort by (text, top - count)
+    keys = np.sort(np.repeat(np.arange(len(tss)) * top, n_types) + top - counts)
+    ranks = np.arange(1.0, counts.size + 1) - np.repeat(offsets, n_types)
+    return _cut("zipf", ranks, (top - keys % top).astype(float), n_types, n > 0, "zipf: no word tokens")
+
+
 def zipf_series(ts: TokenStream) -> EmpiricalSeries:
     """Rank-frequency series: x = 1..V by descending frequency, y = f(r)."""
-    if not ts.words:
-        raise NotFittable("zipf: no word tokens")
-    freqs = np.sort(np.bincount(ts.codes))[::-1]
-    ranks = np.arange(1, len(freqs) + 1, dtype=float)
-    return EmpiricalSeries(ranks, freqs.astype(float), law="zipf")
+    return _only(zipf_series_many([ts]))
+
+
+def heaps_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | NotFittable]:
+    """:func:`heaps_series` of each text."""
+    codes, n, starts, _, offsets = _word_codes(tss)
+    stride = np.maximum(1, -(-n // HEAPS_TARGET_POINTS))
+    # every stride-th token and the last one: ceil(n / stride) checkpoints
+    m = -(-n // stride)
+    j = np.arange(1, m.sum() + 1) - np.repeat(np.cumsum(m) - m, m)
+    xs = np.minimum(j * np.repeat(stride, m), np.repeat(n, m))
+    # types are coded by first occurrence, and the codes of a text exceed those
+    # before it: i tokens of a text hold max(codes[:i]) - offset + 1 types
+    ys = np.maximum.accumulate(codes)[np.repeat(starts, m) + xs - 1] - np.repeat(offsets, m) + 1
+    return _cut("heaps", xs.astype(float), ys.astype(float), m, n > 0, "heaps: no word tokens")
 
 
 def heaps_series(ts: TokenStream) -> EmpiricalSeries:
@@ -74,14 +130,7 @@ def heaps_series(ts: TokenStream) -> EmpiricalSeries:
     Checkpointed every ceil(N/200) tokens (minimum stride 1) to keep the fit
     cheap on large corpora; the final token is always a checkpoint.
     """
-    n = len(ts.words)
-    if n == 0:
-        raise NotFittable("heaps: no word tokens")
-    stride = max(1, math.ceil(n / HEAPS_TARGET_POINTS))
-    xs = np.unique(np.append(np.arange(stride, n + 1, stride), n))
-    # types are coded by first occurrence: i tokens hold max(codes[:i]) + 1 types
-    ys = np.maximum.accumulate(ts.codes)[xs - 1] + 1
-    return EmpiricalSeries(xs.astype(float), ys.astype(float), law="heaps")
+    return _only(heaps_series_many([ts]))
 
 
 def taylor_series(ts: TokenStream, segment_len: int = TAYLOR_SEGMENT_LEN) -> EmpiricalSeries:
@@ -118,44 +167,130 @@ def taylor_series(ts: TokenStream, segment_len: int = TAYLOR_SEGMENT_LEN) -> Emp
     return EmpiricalSeries(xs, ys, law="taylor")
 
 
+def hilberg_series_many(
+    tss: Sequence[TokenStream], max_block: int = HILBERG_MAX_BLOCK
+) -> list[EmpiricalSeries | NotFittable]:
+    """:func:`hilberg_series` of each text. The words of all texts are laid
+    end to end and their blocks grouped as one text's; a block that runs past
+    the end of its text is a group of its own, as its last word code is of a
+    later text, and is not counted."""
+    if max_block < 1:
+        raise ValueError("max_block must be >= 1")
+    codes, n, starts, n_types, offsets = _word_codes(tss)
+    blocks = codes
+    ends = starts + n
+    entropy = np.zeros((len(tss), max_block))
+    for mu in range(1, max_block + 1):
+        alive = n >= mu
+        if not alive.any():
+            break
+        if mu > 1:
+            n_blocks = codes.size - mu + 1
+            # block code = prefix code * n_types + last word code; one sort
+            # groups the blocks, each is re-coded by its first position (so the
+            # next keys fit int64), and bincount counts them by first occurrence
+            keys = blocks[:n_blocks] * int(n_types.sum()) + codes[mu - 1 :]
+            perm = np.argsort(keys)
+            sorted_keys = keys[perm]
+            # the bounds of the groups of equal keys: 0, each change, n_blocks
+            edge = np.ones(n_blocks + 1, bool)
+            edge[1:n_blocks] = sorted_keys[1:] != sorted_keys[:-1]
+            bounds = np.flatnonzero(edge)
+            group_starts = bounds[:-1]
+            blocks = np.empty_like(keys)
+            blocks[perm] = np.repeat(np.minimum.reduceat(perm, group_starts), bounds[1:] - group_starts)
+        counts = np.bincount(blocks)
+        # the blocks that start in the last mu - 1 words of a text run past it
+        tail = np.minimum(n, mu - 1)
+        past = np.arange(tail.sum()) + np.repeat(ends - tail - (np.cumsum(tail) - tail), tail)
+        counts[past[past < counts.size]] = 0
+        present = counts > 0
+        # each text's blocks are coded from its first type (mu = 1) or word on
+        distinct = np.add.reduceat(present, (starts if mu > 1 else offsets)[alive])
+        total, spread = _segments(distinct)
+        probs = counts[present] / spread(n[alive] - mu + 1)
+        entropy[alive, mu - 1] = -total(probs * np.log(probs))
+    return [EmpiricalSeries(np.arange(1.0, m + 1), y[:m], law="hilberg") if m
+            else NotFittable("hilberg: no word tokens")
+            for y, m in zip(entropy, np.minimum(n, max_block).tolist())]
+
+
 def hilberg_series(ts: TokenStream, max_block: int = HILBERG_MAX_BLOCK) -> EmpiricalSeries:
     """Block entropy growth: x = block size, y = entropy of word blocks.
 
     y is the plug-in Shannon entropy (natural log) of the empirical
     distribution of overlapping word blocks of each size up to `max_block`.
     """
-    if max_block < 1:
-        raise ValueError("max_block must be >= 1")
-    n = len(ts.words)
-    if n == 0:
-        raise NotFittable("hilberg: no word tokens")
-    blocks = codes = ts.codes
-    n_types = int(codes.max()) + 1
-    xs: list[int] = []
-    ys: list[float] = []
-    for mu in range(1, max_block + 1):
-        total = n - mu + 1
-        if total < 1:
-            break
-        if mu > 1:
-            # block code = prefix code * n_types + last word code; one sort
-            # groups the blocks, each is re-coded by its first position (so the
-            # next keys fit int64), and bincount counts them by first occurrence
-            keys = blocks[:total] * n_types + codes[mu - 1 :]
-            perm = np.argsort(keys)
-            sorted_keys = keys[perm]
-            # the bounds of the groups of equal keys: 0, each change, total
-            edge = np.ones(total + 1, bool)
-            edge[1:total] = sorted_keys[1:] != sorted_keys[:-1]
-            bounds = np.flatnonzero(edge)
-            starts = bounds[:-1]
-            blocks = np.empty_like(keys)
-            blocks[perm] = np.repeat(np.minimum.reduceat(perm, starts), bounds[1:] - starts)
-        counts = np.bincount(blocks)
-        probs = counts[counts > 0] / total
-        xs.append(mu)
-        ys.append(float(-np.sum(probs * np.log(probs))))
-    return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="hilberg")
+    return _only(hilberg_series_many([ts], max_block))
+
+
+def _sums_of_squares(a: np.ndarray, firsts: np.ndarray) -> list[int]:
+    """The sum of squares of each segment of the integer array `a`, the
+    segments starting at `firsts` (the first at 0); one segment is one dot
+    product, with no temporary array."""
+    if len(firsts) == 1:
+        return [int(a @ a)]
+    return np.add.reduceat(a * a, firsts).tolist()
+
+
+def ebeling_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | NotFittable]:
+    """:func:`ebeling_series` of each text, summed in integers text by text."""
+    n_chars = np.fromiter((len(ts.chars) for ts in tss), np.int64, len(tss))
+    fits = n_chars // EBELING_MIN_WINDOWS >= 2
+    c = n_chars[fits]
+    chars = "".join(ts.chars for ts, ok in zip(tss, fits) if ok)
+    points = np.frombuffer(chars.encode("utf-32-le"), "<u4")
+    starts = np.cumsum(c) - c
+    # (text, code point) keys, narrowed so the stable sort below is a radix
+    # sort on most batches
+    width = int(points.max(initial=0)) + 1
+    keys = points.astype(np.min_scalar_type(c.size * width - 1))
+    for t, (a, m) in enumerate(zip(starts.tolist()[1:], c.tolist()[1:]), start=1):
+        keys[a:a + m] += t * width
+    totals = np.bincount(keys)
+    present = totals > 0
+    totals = totals[present]
+    # where each text's alphabet starts among the batch's (text, character) pairs
+    alphabet_starts = np.searchsorted(np.flatnonzero(present), np.arange(c.size) * width)
+    # positions grouped by text and character, ascending within each, the
+    # texts in turn: at each u the nonzero (character, window) cells are runs,
+    # which start at a character's first position or where pos // u changes,
+    # i.e. for u a power of two, where pos differs from the position before it
+    # in a bit worth u or more; split holds each position within its text XOR
+    # the one before it, c at each character's first position, and c past the
+    # end, so every run ends where the next starts
+    order = np.argsort(keys, kind="stable")
+    for a, m in zip(starts.tolist()[1:], c.tolist()[1:]):
+        order[a:a + m] -= a
+    split = np.empty(order.size + 1, order.dtype)
+    split[1:-1] = order[1:] ^ order[:-1]
+    split[np.cumsum(totals)] = split[0] = order.size
+    us: list[int] = []
+    ys: list[list[float]] = [[] for _ in c]
+    u = 2
+    while u <= c.max(initial=0) // EBELING_MIN_WINDOWS:
+        n_win = c // u
+        bounds = np.flatnonzero(split >= u)
+        run_lens = bounds[1:] - bounds[:-1]
+        run_sq = _sums_of_squares(run_lens, np.searchsorted(bounds, starts))
+        # less the partial last window's cells; then sum_k var_k is
+        # (n_win * sum_wk n_wk^2 - sum_k T_k^2) / n_win^2, exact in Python ints
+        part = c - n_win * u
+        at = np.arange(part.sum()) + np.repeat(starts + n_win * u - (np.cumsum(part) - part), part)
+        tail = np.bincount(keys[at], minlength=present.size)[present]
+        in_windows = totals - tail
+        tail_sq = _sums_of_squares(tail, alphabet_starts)
+        in_sq = _sums_of_squares(in_windows, alphabet_starts)
+        for y, w, r, tl, iw in zip(ys, n_win.tolist(), run_sq, tail_sq, in_sq):
+            # u <= C // EBELING_MIN_WINDOWS, as C // u >= EBELING_MIN_WINDOWS
+            if w >= EBELING_MIN_WINDOWS:
+                y.append((w * (r - tl) - iw) / (w * w))
+        us.append(u)
+        u *= 2
+    built = iter([EmpiricalSeries(np.array(us[:len(y)], dtype=float), np.array(y), law="ebeling")
+                  for y in ys])
+    return [next(built) if ok else NotFittable(f"ebeling: {m} characters is too short")
+            for ok, m in zip(fits.tolist(), n_chars.tolist())]
 
 
 def ebeling_series(ts: TokenStream) -> EmpiricalSeries:
@@ -167,67 +302,55 @@ def ebeling_series(ts: TokenStream) -> EmpiricalSeries:
     across windows of each character's count. y(u) is the exact sum,
     correctly rounded to float.
     """
-    chars = ts.chars
-    c = len(chars)
-    if c // EBELING_MIN_WINDOWS < 2:
-        raise NotFittable(f"ebeling: {c} characters is too short")
-    # code points, narrowed so the stable sort below is a radix sort on most texts
-    codes = np.frombuffer(chars.encode("utf-32-le"), "<u4")
-    codes = codes.astype(np.min_scalar_type(codes.max()))
-    totals = np.bincount(codes)
-    # positions grouped by character, ascending within each: at each u the
-    # nonzero (character, window) cells are runs, which start at a character's
-    # first position or where pos // u changes, i.e. for u a power of two,
-    # where pos differs from the position before it in a bit worth u or more;
-    # split holds each position XOR the one before it, c at each character's
-    # first position, and c past the end, so every run ends where the next starts
-    order = np.argsort(codes, kind="stable")
-    split = np.empty(c + 1, order.dtype)
-    split[1:c] = order[1:] ^ order[:-1]
-    split[0] = c
-    split[np.cumsum(totals[totals > 0])] = c
-    xs: list[int] = []
-    ys: list[float] = []
-    u = 2
-    while u <= c // EBELING_MIN_WINDOWS:
-        n_win = c // u
-        bounds = np.flatnonzero(split >= u)
-        run_lens = bounds[1:] - bounds[:-1]
-        # less the partial last window's cells; then sum_k var_k is
-        # (n_win * sum_wk n_wk^2 - sum_k T_k^2) / n_win^2, exact in Python ints
-        tail = np.bincount(codes[n_win * u :], minlength=totals.size)
-        sum_sq = int(run_lens @ run_lens) - int(tail @ tail)
-        in_windows = totals - tail
-        xs.append(u)
-        ys.append((n_win * sum_sq - int(in_windows @ in_windows)) / (n_win * n_win))
-        u *= 2
-    return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="ebeling")
+    return _only(ebeling_series_many([ts]))
+
+
+def menzerath_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | NotFittable]:
+    """:func:`menzerath_series` of each text."""
+    n_sent = np.fromiter((len(ts.sentences) for ts in tss), np.int64, len(tss))
+    sentences = np.fromiter(chain.from_iterable(ts.sentences for ts in tss), np.int64, int(n_sent.sum()))
+    width = int(sentences.max(initial=0)) + 1
+    # (text, sentence length) of each sentence, and of each word
+    keys = np.repeat(np.arange(len(tss)) * width, n_sent) + sentences
+    word_keys = np.repeat(keys, sentences)
+    words = [ts.words for ts in tss if ts.sentences]
+    word_len = np.fromiter(map(len, chain.from_iterable(words)), np.int64, sum(map(len, words)))
+    xs = np.unique(keys)
+    ys = np.bincount(word_keys, weights=word_len)[xs] / np.bincount(word_keys)[xs]
+    n_x = np.bincount(xs // width, minlength=len(tss))
+    return _cut("menzerath", (xs % width).astype(float), ys, n_x, n_sent > 0, "menzerath: no sentences")
 
 
 def menzerath_series(ts: TokenStream) -> EmpiricalSeries:
     """Sentence/word length coupling: x = sentence length in words,
     y = mean word length in letters over all words in sentences of that length.
     """
-    if not ts.sentences:
-        raise NotFittable("menzerath: no sentences")
-    sentence_len = np.repeat(ts.sentences, ts.sentences)  # per word
-    word_len = np.fromiter(map(len, ts.words), np.int64, len(ts.words))
-    xs = np.unique(ts.sentences)
-    ys = np.bincount(sentence_len, weights=word_len)[xs] / np.bincount(sentence_len)[xs]
-    return EmpiricalSeries(xs.astype(float), ys, law="menzerath")
+    return _only(menzerath_series_many([ts]))
+
+
+def benford_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries]:
+    """:func:`benford_series` of each text."""
+    n_sent = np.fromiter((len(ts.sentences) for ts in tss), np.int64, len(tss))
+    lengths = np.fromiter(chain.from_iterable(ts.sentences for ts in tss), np.int64, int(n_sent.sum()))
+    kept = lengths >= 1
+    digits = np.array(first_digits(lengths[kept].tolist()), np.int64)
+    keys = np.repeat(np.arange(len(tss)) * 10, n_sent)[kept] + digits
+    counts = np.bincount(keys, minlength=10 * len(tss)).reshape(-1, 10)[:, 1:]
+    # absent digits are 0, and so are all of a text without sentences
+    freqs = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    return [EmpiricalSeries(np.arange(1.0, 10.0), row, law="benford") for row in freqs]
 
 
 def benford_series(ts: TokenStream) -> EmpiricalSeries:
     """First-digit frequencies of sentence word-lengths: x = digits 1..9,
     y = relative frequency (absent digits are 0)."""
-    digits = np.arange(1, 10, dtype=float)
-    lengths = [n for n in ts.sentences if n >= 1]
-    if not lengths:
-        freqs = np.zeros(9)
-    else:
-        counts = np.bincount(first_digits(lengths), minlength=10)[1:10]
-        freqs = counts / counts.sum()
-    return EmpiricalSeries(digits, freqs, law="benford")
+    return _only(benford_series_many([ts]))
+
+
+def _report(law: str, series) -> LawReport:
+    if isinstance(series, NotFittable):
+        return LawReport(law=law, series=None, detail=str(series))
+    return LawReport(law=law, series=series)
 
 
 def build_all(
@@ -250,29 +373,36 @@ def build_all(
         "menzerath": lambda: menzerath_series(ts),
         "benford": lambda: benford_series(ts),
     }
-    reports: list[LawReport] = []
-    for law in LAW_NAMES:
-        try:
-            reports.append(LawReport(law=law, series=series_of[law]()))
-        except NotFittable as exc:
-            reports.append(LawReport(law=law, series=None, detail=str(exc)))
-    return reports
+    return [_report(law, _attempt(series_of[law])) for law in LAW_NAMES]
+
+
+def build_all_many(
+    tss: Sequence[TokenStream],
+    *,
+    segment_len: int = TAYLOR_SEGMENT_LEN,
+    max_block: int = HILBERG_MAX_BLOCK,
+) -> list[list[LawReport]]:
+    """:func:`build_all` of each text; every law but taylor is built for all
+    the texts at once."""
+    by_law = (zipf_series_many(tss), heaps_series_many(tss),
+              [_attempt(taylor_series, ts, segment_len) for ts in tss],
+              hilberg_series_many(tss, max_block), ebeling_series_many(tss),
+              menzerath_series_many(tss), benford_series_many(tss))
+    return [list(map(_report, LAW_NAMES, row)) for row in zip(*by_law)]
 
 
 def fit_reports(reports: list[LawReport]) -> list[LawReport]:
     """Fit the series of every report in place and return the reports.
 
     All log-log series, whichever text or law they come from, are fitted as
-    one segmented reduction and each first-digit series on its own. A series
-    the regression rejects leaves its report unfittable with the reason.
+    one segmented reduction, and all first-digit series as one batch. A
+    series the regression rejects leaves its report unfittable with the reason.
     """
     built = [r for r in reports if r.series is not None]
     loglog = iter(fit_loglog_many([r.series for r in built if r.law != "benford"]))
+    benford = iter(fit_benford_many([r.series.y for r in built if r.law == "benford"]))
     for report in built:
-        try:
-            fit = fit_benford(report.series.y) if report.law == "benford" else next(loglog)
-        except NotFittable as exc:
-            fit = exc
+        fit = next(benford) if report.law == "benford" else next(loglog)
         if isinstance(fit, NotFittable):
             report.detail = str(fit)
         else:

@@ -17,15 +17,17 @@ fallback (hermetic, no model download) and a reader for precomputed vector
 files (JSONL of {"id", "unit_index", "vector"}).
 """
 
+import functools
 import hashlib
 import json
 import threading
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .corpus import Document, TokenStream, tokenize
-from .fitkit import EmpiricalSeries, LawFit, NotFittable, fit_loglog
+from .fitkit import EmpiricalSeries, LawFit, NotFittable, _only, fit_loglog
 
 __all__ = [
     "MIN_SERIES_LEN",
@@ -39,6 +41,7 @@ __all__ = [
     "FluctuationMatrix",
     "MultifractalSpectrum",
     "build_series",
+    "build_series_many",
     "profile",
     "default_scales",
     "fluctuation",
@@ -78,7 +81,8 @@ class ProviderError(Exception):
 class EmbeddingProvider:
     """Deterministic mapping from text units to fixed-dimension vectors.
 
-    The pipeline calls :meth:`unit_vectors` once per document. A provider
+    The pipeline calls :meth:`unit_means` once per batch of documents,
+    which by default calls :meth:`unit_vectors` once per document. A provider
     either implements :meth:`embed` for one unit, which the default
     :meth:`unit_vectors` calls per unit, or overrides :meth:`unit_vectors`.
     """
@@ -100,6 +104,10 @@ class EmbeddingProvider:
             except Exception as exc:
                 raise ProviderError(f"{self.provider_id}: embedding failed for unit {k}") from exc
         return vectors
+
+    def unit_means(self, docs: list[Document], units_per_doc: list[list[str]]) -> list[np.ndarray]:
+        """The component mean of each unit's vector, one array per document."""
+        return [self.unit_vectors(doc, units).mean(axis=1) for doc, units in zip(docs, units_per_doc)]
 
 
 class HashedTrigramEmbedder(EmbeddingProvider):
@@ -186,6 +194,21 @@ class HashedTrigramEmbedder(EmbeddingProvider):
         norms[norms == 0] = 1.0
         return counts / norms[:, None]
 
+    def unit_means(self, docs: list[Document], units_per_doc: list[list[str]]) -> list[np.ndarray]:
+        """The component means of the units of every document; each distinct
+        unit of the batch is embedded once."""
+        index = {unit: i for i, unit in enumerate(dict.fromkeys(chain.from_iterable(units_per_doc)))}
+        try:
+            means = self.unit_vectors(None, list(index)).mean(axis=1)
+        except ProviderError:
+            # raised again by the first document with the failing unit, which
+            # names the unit by its index in that document
+            for doc, units in zip(docs, units_per_doc):
+                self.unit_vectors(doc, units)
+            raise
+        return [means[np.fromiter(map(index.__getitem__, units), np.intp, len(units))]
+                for units in units_per_doc]
+
     def embed(self, text_unit: str) -> np.ndarray:
         return self.unit_vectors(None, [text_unit])[0]
 
@@ -269,6 +292,23 @@ class MultifractalSpectrum:
     fluctuation: np.ndarray = field(repr=False)
 
 
+def build_series_many(
+    docs: list[Document], provider: EmbeddingProvider, tss: list[TokenStream]
+) -> list[ScalarSeries | NotFittable]:
+    """:func:`build_series` of every document, with its token stream from
+    `tss` and one :meth:`~EmbeddingProvider.unit_means` call for the batch; a
+    document too short for a series has the NotFittable it raises alone in its
+    place. A provider failure raises :class:`ProviderError`."""
+    chosen = [("sentence", ts.sentence_texts) if len(ts.sentence_texts) >= MIN_SERIES_LEN
+              else ("word", ts.words) for ts in tss]
+    long_enough = [len(units) >= MIN_SERIES_LEN for _, units in chosen]
+    means = iter(provider.unit_means([doc for doc, ok in zip(docs, long_enough) if ok],
+                                     [units for (_, units), ok in zip(chosen, long_enough) if ok]))
+    return [ScalarSeries(values=next(means), source=f"{provider.provider_id}/mean/{kind}") if ok
+            else NotFittable(f"mandelbrot: {len(units)} {kind} units, need {MIN_SERIES_LEN}")
+            for (kind, units), ok in zip(chosen, long_enough)]
+
+
 def build_series(
     doc: Document, provider: EmbeddingProvider, ts: TokenStream | None = None
 ) -> ScalarSeries:
@@ -282,19 +322,7 @@ def build_series(
         NotFittable: fewer than 64 units even after the word fallback.
         ProviderError: the provider failed on a unit.
     """
-    ts = tokenize(doc) if ts is None else ts
-    units = ts.sentence_texts
-    unit_kind = "sentence"
-    if len(units) < MIN_SERIES_LEN:
-        units = ts.words
-        unit_kind = "word"
-    if len(units) < MIN_SERIES_LEN:
-        raise NotFittable(
-            f"mandelbrot: {len(units)} {unit_kind} units, need {MIN_SERIES_LEN}"
-        )
-    vectors = provider.unit_vectors(doc, units)
-    values = vectors.mean(axis=1)
-    return ScalarSeries(values=values, source=f"{provider.provider_id}/mean/{unit_kind}")
+    return _only(build_series_many([doc], provider, [tokenize(doc) if ts is None else ts]))
 
 
 def profile(series: ScalarSeries) -> np.ndarray:
@@ -305,11 +333,15 @@ def profile(series: ScalarSeries) -> np.ndarray:
     return np.cumsum(v - v.mean())
 
 
+@functools.lru_cache(maxsize=1024)
 def default_scales(n: int) -> np.ndarray:
-    """12 log-spaced integer window sizes in [16, n // 4]."""
+    """12 log-spaced integer window sizes in [16, n // 4], read-only; the
+    last 1,024 lengths' scales are kept."""
     if n < MIN_SERIES_LEN:
         raise NotFittable(f"mandelbrot: series length {n} < {MIN_SERIES_LEN}")
-    return np.unique(np.round(np.geomspace(MIN_SCALE, n // 4, N_SCALES)).astype(int))
+    scales = np.unique(np.round(np.geomspace(MIN_SCALE, n // 4, N_SCALES)).astype(int))
+    scales.flags.writeable = False
+    return scales
 
 
 def _detrend_basis(s: int, m: int) -> np.ndarray:

@@ -125,12 +125,34 @@ def references(max_block):
     }
 
 
+def described(s):
+    if isinstance(s, NotFittable):
+        return ("NotFittable", str(s))
+    return (s.law, s.x.dtype.str, s.x.tobytes(), s.y.dtype.str, s.y.tobytes())
+
+
 def outcome(build, ts):
     try:
-        s = build(ts)
+        return described(build(ts))
     except NotFittable as exc:
-        return ("NotFittable", str(exc))
-    return (s.law, s.x.dtype.str, s.x.tobytes(), s.y.dtype.str, s.y.tobytes())
+        return described(exc)
+
+
+def assert_batch_matches(texts, max_block=6):
+    tss = [tokenize(Document(id=f"t{i}", text=text)) for i, text in enumerate(texts)]
+    batched = {
+        "zipf": laws.zipf_series_many,
+        "heaps": laws.heaps_series_many,
+        "hilberg": lambda b: laws.hilberg_series_many(b, max_block),
+        "ebeling": laws.ebeling_series_many,
+        "menzerath": laws.menzerath_series_many,
+        "benford": laws.benford_series_many,
+    }
+    for law, reference in references(max_block).items():
+        results = batched[law](tss)
+        assert len(results) == len(tss)
+        for ts, result in zip(tss, results):
+            assert described(result) == outcome(reference, ts), law
 
 
 def assert_one_text_matches(text, max_block=6):
@@ -172,11 +194,27 @@ def test_one_text_matches_reference(text, max_block):
     assert_one_text_matches(text, max_block)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(texts, min_size=1, max_size=12), st.integers(min_value=1, max_value=6))
+def test_batches_match_reference(batch, max_block):
+    assert_batch_matches(batch, max_block)
+
+
 @pytest.mark.parametrize("text", EDGE_TEXTS)
 def test_edge_texts_match_reference(text):
     assert_one_text_matches(text)
+    assert_batch_matches([text])
+
+
+def test_edge_texts_in_one_batch_match_reference():
+    assert_batch_matches(EDGE_TEXTS + EDGE_TEXTS[::-1])
+
+
+def test_empty_batch():
+    assert laws.build_all_many([]) == []
 
 
 def test_books_match_reference(book_a, book_b):
     for book in (book_a, book_b):
         assert_one_text_matches(book.text)
+        assert_batch_matches([book.text])

@@ -134,6 +134,22 @@ class TestCompare:
         assert report["corpora"][names[0]]["laws"] == report["corpora"][names[1]]["laws"]
 
 
+    def test_out_and_csv_sharing_a_file_rejected_before_analysis(self, dataset, tmp_path,
+                                                                 monkeypatch, capsys):
+        import zgptda.augment
+
+        calls = []
+        complete = MockTransport.complete
+        monkeypatch.setattr(MockTransport, "complete",
+                            lambda self, *a, **kw: calls.append(a) or complete(self, *a, **kw))
+        monkeypatch.setattr(zgptda.augment, "evaluate_corpus", lambda *a, **kw: calls.append(a))
+        shared = tmp_path / "grid"
+        assert run(["compare", dataset, dataset, "--out", shared, "--csv", shared]) == 1
+        assert "error: --out and --csv name one file" in capsys.readouterr().err
+        assert calls == []
+        assert not shared.exists()
+
+
 class TestAugment:
     def test_mock_deterministic_and_sized(self, dataset, tmp_path):
         out1, out2 = tmp_path / "a1.jsonl", tmp_path / "a2.jsonl"
@@ -346,6 +362,29 @@ class TestAugment:
         assert str(missing) in err and ".tmp" not in err
         assert calls == []
         assert not any(p.exists() for p in paths.values())
+
+    @pytest.mark.parametrize("flags, names", [
+        ({"--out": "x.json", "--scores": "x.json"}, "--out and --scores"),
+        ({"--transport": "replay", "--replay-file": "rec.jsonl", "--record-file": "rec.jsonl"},
+         "--record-file and --replay-file"),
+        ({"--scores": "raw.jsonl"}, "--scores and input"),
+        ({"--scores": "a.jsonl.manifest.json"}, "--scores and the manifest of --out"),
+    ])
+    def test_outputs_sharing_a_file_rejected_before_generation(self, dataset, tmp_path, flags, names,
+                                                               monkeypatch, capsys):
+        calls = []
+        complete = MockTransport.complete
+        monkeypatch.setattr(MockTransport, "complete",
+                            lambda self, *a, **kw: calls.append(a) or complete(self, *a, **kw))
+        (tmp_path / "rec.jsonl").write_text("", encoding="utf-8")
+        argv = ["augment", dataset, "--n", "2"]
+        for flag, value in {"--out": "a.jsonl", "--scores": "s.json", **flags}.items():
+            argv += [flag, value if flag == "--transport" else tmp_path / value]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        assert run(argv) == 1
+        assert f"error: {names} name one file" in capsys.readouterr().err
+        assert calls == []
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     @pytest.mark.parametrize("record", [
         {"request_hash": "0" * 64, "completion": 5},

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from zgptda import mfdfa
 from zgptda.augment import GenerationConfig, MockTransport
-from zgptda.corpus import Document
-from zgptda.mfdfa import EmbeddingProvider, HashedTrigramEmbedder, ProviderError, build_series
+from zgptda.corpus import Document, tokenize
+from zgptda.mfdfa import (EmbeddingProvider, HashedTrigramEmbedder, ProviderError, build_series,
+                          build_series_many)
 
 
 def ref_bucket(gram: bytes) -> int:
@@ -129,6 +130,36 @@ def test_unencodable_unit_names_its_index():
     # a lone surrogate, as a "\ud800" JSON escape decodes to
     with pytest.raises(ProviderError, match="unit 2"):
         HashedTrigramEmbedder().unit_vectors(DOC, ["ok", "fine", "bad \ud800 unit", "ok"])
+
+
+def per_text_means(units_per_doc):
+    return [HashedTrigramEmbedder().unit_vectors(DOC, units).mean(axis=1) for units in units_per_doc]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(unit_strategy, max_size=15), max_size=6))
+def test_unit_means_match_per_text_unit_vectors(units_per_doc):
+    got = HashedTrigramEmbedder().unit_means([DOC] * len(units_per_doc), units_per_doc)
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in per_text_means(units_per_doc)]
+
+
+@pytest.mark.parametrize("n_completions, kind", [(1, "word"), (40, "sentence")])
+def test_batch_series_match_per_text(n_completions, kind):
+    # word units repeat within and across the texts; sentence units do not
+    docs = [Document(id=f"m{k}", text=mock_text(n_completions) + " extra" * k) for k in range(4)]
+    tss = [tokenize(doc) for doc in docs]
+    got = build_series_many(docs, HashedTrigramEmbedder(), tss)
+    units = [ts.words if kind == "word" else ts.sentence_texts for ts in tss]
+    assert {s.source.rsplit("/", 1)[-1] for s in got} == {kind}
+    assert [s.values.tobytes() for s in got] == [m.tobytes() for m in per_text_means(units)]
+    for doc, series in zip(docs, got):
+        assert series.values.tobytes() == build_series(doc, ReferenceEmbedder()).values.tobytes()
+
+
+def test_unencodable_unit_in_a_batch_names_its_index_in_its_text():
+    units_per_doc = [["ok", "fine"], ["a", "b", "c"], ["c", "d", "bad \ud800 unit", "e"]]
+    with pytest.raises(ProviderError, match="unit 2$"):
+        HashedTrigramEmbedder().unit_means([DOC] * 3, units_per_doc)
 
 
 def test_gram_cache_is_bounded(monkeypatch):

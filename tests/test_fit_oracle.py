@@ -22,6 +22,7 @@ from zgptda.fitkit import (
     LawFit,
     NotFittable,
     fit_benford,
+    fit_benford_many,
     fit_loglog,
     fit_metrics,
 )
@@ -153,6 +154,7 @@ def use_reference_engines(monkeypatch):
     """Route the pipeline's fits through the references, where it looks them up."""
     monkeypatch.setattr(laws, "fit_loglog_many", one_at_a_time(ref_fit_loglog))
     monkeypatch.setattr(laws, "fit_benford", ref_fit_benford)
+    monkeypatch.setattr(laws, "fit_benford_many", one_at_a_time(ref_fit_benford))
     monkeypatch.setattr(augment, "fluctuation", ref_fluctuation)
     monkeypatch.setattr(augment, "spectrum", ref_spectrum)
 
@@ -281,6 +283,21 @@ def test_benford_matches_lstsq(freqs):
 ])
 def test_benford_edge_frequencies_match_lstsq(freqs):
     assert_outcomes_match(fit_benford, ref_fit_benford, assert_fits_match, freqs)
+
+
+def fit_bytes(fit):
+    if isinstance(fit, NotFittable):
+        return ("NotFittable", str(fit))
+    m = fit.metrics
+    return np.array([fit.exponent, fit.prefactor, fit.secondary_exponent, *fit.fitted_y,
+                     m.r2, m.kl, m.js, m.mape]).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(digit_counts, digit_weights, st.just(np.zeros(9))), min_size=1, max_size=12))
+def test_benford_many_matches_one_at_a_time(rows):
+    expected = [fit_bytes(one_at_a_time(fit_benford)([row])[0]) for row in rows]
+    assert [fit_bytes(fit) for fit in fit_benford_many(rows)] == expected
 
 
 # --- fluctuation and spectrum ----------------------------------------------------
