@@ -404,7 +404,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     # checked before any work, so no paid completion is lost to a bad path;
     # --series-csv is a directory the command creates
-    for path in filter(None, map(vars(args).get, ("out", "scores", "record_file", "csv"))):
+    for path in filter(None, (vars(args).get(dest) for _, dest in _OUTPUTS)):
         if not os.path.isdir(os.path.dirname(str(path)) or "."):
             print(f"error: the directory of {path} does not exist", file=sys.stderr)
             return EXIT_INPUT

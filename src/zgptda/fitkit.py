@@ -284,9 +284,9 @@ def fit_benford_many(rows) -> list[LawFit | NotFittable]:
     fitted /= fitted.sum(axis=1, keepdims=True)
     metrics = _segment_metrics(f.ravel(), fitted.ravel(), np.full(len(f), 9))
     prefactors = np.exp(beta[:, 0]).tolist()
-    laws = iter([LawFit(exponent=-b1, prefactor=c, fitted_y=y, metrics=m, secondary_exponent=b2 + 1.0)
+    made = iter([LawFit(exponent=-b1, prefactor=c, fitted_y=y, metrics=m, secondary_exponent=b2 + 1.0)
                  for (_, b1, b2), c, y, m in zip(beta.tolist(), prefactors, fitted, metrics)])
-    return [next(laws) if ok else NotFittable("benford: all digit frequencies are zero")
+    return [next(made) if ok else NotFittable("benford: all digit frequencies are zero")
             for ok in fits.tolist()]
 
 
