@@ -88,9 +88,7 @@ def _word_codes(tss):
     n = np.fromiter(map(len, local), np.int64, len(local))
     n_types = np.fromiter((c.max() + 1 if c.size else 0 for c in local), np.int64, len(local))
     offsets = np.cumsum(n_types) - n_types
-    # one text keeps its own codes, with no copy
-    codes = local[0] if len(local) == 1 else np.concatenate(
-        [np.empty(0, np.int64), *(c + o for c, o in zip(local, offsets.tolist()))])
+    codes = np.concatenate([np.empty(0, np.int64), *(c + o for c, o in zip(local, offsets.tolist()))])
     return codes, n, np.cumsum(n) - n, n_types, offsets
 
 
@@ -224,15 +222,6 @@ def hilberg_series(ts: TokenStream, max_block: int = HILBERG_MAX_BLOCK) -> Empir
     return _only(hilberg_series_many([ts], max_block))
 
 
-def _sums_of_squares(a: np.ndarray, firsts: np.ndarray) -> list[int]:
-    """The sum of squares of each segment of the integer array `a`, the
-    segments starting at `firsts` (the first at 0); one segment is one dot
-    product, with no temporary array."""
-    if len(firsts) == 1:
-        return [int(a @ a)]
-    return np.add.reduceat(a * a, firsts).tolist()
-
-
 def ebeling_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | NotFittable]:
     """:func:`ebeling_series` of each text, summed in integers text by text."""
     n_chars = np.fromiter((len(ts.chars) for ts in tss), np.int64, len(tss))
@@ -272,15 +261,15 @@ def ebeling_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | No
         n_win = c // u
         bounds = np.flatnonzero(split >= u)
         run_lens = bounds[1:] - bounds[:-1]
-        run_sq = _sums_of_squares(run_lens, np.searchsorted(bounds, starts))
+        run_sq = np.add.reduceat(run_lens * run_lens, np.searchsorted(bounds, starts)).tolist()
         # less the partial last window's cells; then sum_k var_k is
         # (n_win * sum_wk n_wk^2 - sum_k T_k^2) / n_win^2, exact in Python ints
         part = c - n_win * u
         at = np.arange(part.sum()) + np.repeat(starts + n_win * u - (np.cumsum(part) - part), part)
         tail = np.bincount(keys[at], minlength=present.size)[present]
         in_windows = totals - tail
-        tail_sq = _sums_of_squares(tail, alphabet_starts)
-        in_sq = _sums_of_squares(in_windows, alphabet_starts)
+        tail_sq = np.add.reduceat(tail * tail, alphabet_starts).tolist()
+        in_sq = np.add.reduceat(in_windows * in_windows, alphabet_starts).tolist()
         for y, w, r, tl, iw in zip(ys, n_win.tolist(), run_sq, tail_sq, in_sq):
             # u <= C // EBELING_MIN_WINDOWS, as C // u >= EBELING_MIN_WINDOWS
             if w >= EBELING_MIN_WINDOWS:
@@ -376,17 +365,12 @@ def build_all(
     return [_report(law, _attempt(series_of[law])) for law in LAW_NAMES]
 
 
-def build_all_many(
-    tss: Sequence[TokenStream],
-    *,
-    segment_len: int = TAYLOR_SEGMENT_LEN,
-    max_block: int = HILBERG_MAX_BLOCK,
-) -> list[list[LawReport]]:
-    """:func:`build_all` of each text; every law but taylor is built for all
-    the texts at once."""
+def build_all_many(tss: Sequence[TokenStream]) -> list[list[LawReport]]:
+    """:func:`build_all` of each text with the default segment length and
+    largest block; every law but taylor is built for all the texts at once."""
     by_law = (zipf_series_many(tss), heaps_series_many(tss),
-              [_attempt(taylor_series, ts, segment_len) for ts in tss],
-              hilberg_series_many(tss, max_block), ebeling_series_many(tss),
+              [_attempt(taylor_series, ts) for ts in tss],
+              hilberg_series_many(tss), ebeling_series_many(tss),
               menzerath_series_many(tss), benford_series_many(tss))
     return [list(map(_report, LAW_NAMES, row)) for row in zip(*by_law)]
 

@@ -17,7 +17,6 @@ fallback (hermetic, no model download) and a reader for precomputed vector
 files (JSONL of {"id", "unit_index", "vector"}).
 """
 
-import functools
 import hashlib
 import json
 import threading
@@ -333,15 +332,11 @@ def profile(series: ScalarSeries) -> np.ndarray:
     return np.cumsum(v - v.mean())
 
 
-@functools.lru_cache(maxsize=1024)
 def default_scales(n: int) -> np.ndarray:
-    """12 log-spaced integer window sizes in [16, n // 4], read-only; the
-    last 1,024 lengths' scales are kept."""
+    """12 log-spaced integer window sizes in [16, n // 4]."""
     if n < MIN_SERIES_LEN:
         raise NotFittable(f"mandelbrot: series length {n} < {MIN_SERIES_LEN}")
-    scales = np.unique(np.round(np.geomspace(MIN_SCALE, n // 4, N_SCALES)).astype(int))
-    scales.flags.writeable = False
-    return scales
+    return np.unique(np.round(np.geomspace(MIN_SCALE, n // 4, N_SCALES)).astype(int))
 
 
 def _detrend_basis(s: int, m: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zgptda.augment as augment
@@ -18,6 +18,9 @@ import zgptda.laws as laws
 from zgptda.augment import GenerationConfig, MockTransport, evaluate_corpus, score_instance
 from zgptda.corpus import Document
 from zgptda.fitkit import (
+    _BENFORD_DESIGN,
+    _BENFORD_PINV,
+    _EPS,
     EmpiricalSeries,
     LawFit,
     NotFittable,
@@ -293,11 +296,26 @@ def fit_bytes(fit):
                      m.r2, m.kl, m.js, m.mape]).tobytes()
 
 
+def per_row_fit_benford(freqs):
+    """The first-digit fit of one row on its own, each product and sum over
+    that row alone: the bit-for-bit reference of the batch fit."""
+    f = np.asarray(freqs, dtype=float)
+    if not np.any(f > 0):
+        raise NotFittable("benford: all digit frequencies are zero")
+    beta = _BENFORD_PINV @ np.log(np.where(f > 0, f, _EPS))
+    fitted = np.exp(_BENFORD_DESIGN @ beta)
+    fitted = fitted / fitted.sum()
+    return LawFit(exponent=float(-beta[1]), prefactor=float(np.exp(beta[0])), fitted_y=fitted,
+                  metrics=fit_metrics(f, fitted), secondary_exponent=float(beta[2] + 1.0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.one_of(digit_counts, digit_weights, st.just(np.zeros(9))), min_size=1, max_size=12))
-def test_benford_many_matches_one_at_a_time(rows):
-    expected = [fit_bytes(one_at_a_time(fit_benford)([row])[0]) for row in rows]
+@example([np.eye(9)[0], np.zeros(9), np.array([3, 0, 1, 0, 0, 2, 0, 0, 1]) / 7, np.zeros(9)])
+def test_benford_many_matches_per_row_fit(rows):
+    expected = [fit_bytes(one_at_a_time(per_row_fit_benford)([row])[0]) for row in rows]
     assert [fit_bytes(fit) for fit in fit_benford_many(rows)] == expected
+    assert [fit_bytes(one_at_a_time(fit_benford)([row])[0]) for row in rows] == expected
 
 
 # --- fluctuation and spectrum ----------------------------------------------------

@@ -251,14 +251,6 @@ class TestBasisMemo:
                 assert got.floored == expected[m].floored
                 assert got.scales.tolist() == expected[m].scales.tolist()
 
-    def test_default_scales_memo_is_read_only_and_bounded(self):
-        for n in (64, 187, 20_000):
-            scales = default_scales(n)
-            assert default_scales(n) is scales and not scales.flags.writeable
-            expected = np.unique(np.round(np.geomspace(16, n // 4, 12)).astype(int))
-            assert scales.tobytes() == expected.tobytes()
-        assert default_scales.cache_info().maxsize is not None
-
     def test_basis_is_read_only(self):
         for s, m in [(20, 1), (mfdfa._BASIS_CACHE_MAX, 1)]:  # kept, and too large to keep
             basis = mfdfa._detrend_basis(s, m)
