@@ -142,9 +142,12 @@ def request_hash(payload: dict) -> str:
 class Transport:
     """Produces one completion per call. ``slot`` is the 0-based instance
     index within a generation batch; deterministic transports use it to vary
-    output between otherwise identical requests."""
+    output between otherwise identical requests. ``in_process`` declares that
+    ``complete`` computes in Python without waiting on I/O, so threads cannot
+    overlap its calls: generation then makes them on the calling thread."""
 
     transport_id: str = "abstract"
+    in_process: bool = False
 
     def complete(self, prompt: str, cfg: GenerationConfig, slot: int = 0) -> str:
         raise NotImplementedError
@@ -173,6 +176,8 @@ class MockTransport(Transport):
     with a skewed word-frequency profile and variable sentence lengths, so
     every law has something to fit.
     """
+
+    in_process = True
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -205,6 +210,8 @@ class ReplayTransport(Transport):
     The k-th record carrying a given request hash serves slot k, so replay is
     byte-stable no matter how calls are scheduled.
     """
+
+    in_process = True
 
     def __init__(self, path):
         self.transport_id = f"replay:{path}"
@@ -312,6 +319,7 @@ class RecordingTransport(Transport):
     def __init__(self, inner: Transport):
         self.inner = inner
         self.transport_id = f"recording({inner.transport_id})"
+        self.in_process = inner.in_process
         self._records: dict[tuple[str, int], str] = {}
 
     def complete(self, prompt: str, cfg: GenerationConfig, slot: int = 0) -> str:
@@ -335,39 +343,42 @@ def generate_instances(raw: Document, cfg: GenerationConfig, transport: Transpor
 
     Instance ids are ``{raw.id}#gen{k}`` (k = 1..n) and labels are inherited.
     Empty completions are retried once and then dropped with a warning, so
-    the result may be shorter than n.
+    the result may be shorter than n. An ``in_process`` transport is called
+    slot by slot on the calling thread, any other on ``max_in_flight`` threads.
 
     Raises:
-        PartialGeneration: the transport failed on some slot; the exception
-            carries the instances obtained so far.
+        PartialGeneration: the transport failed on a slot (the lowest is named);
+            the exception carries the instances of the slots that succeeded.
     """
     prompt = cfg.prompt_template.format(n=cfg.n_instances, text=raw.text)
 
-    def one(slot: int) -> str | None:
-        text = transport.complete(prompt, cfg, slot=slot)
-        if not text.strip():
+    def one(slot: int) -> str | TransportError | None:
+        try:
             text = transport.complete(prompt, cfg, slot=slot)
+            if not text.strip():
+                text = transport.complete(prompt, cfg, slot=slot)
+        except TransportError as exc:
+            return exc
         if not text.strip():
             log.warning("%s: slot %d returned an empty completion twice; dropped", raw.id, slot + 1)
             return None
         return text
 
     n = cfg.n_instances
-    results: list[str | None] = [None] * n
-    failures: list[tuple[int, Exception]] = []
-    with ThreadPoolExecutor(max_workers=min(cfg.max_in_flight, n)) as pool:
-        futures = [pool.submit(one, k) for k in range(n)]
-        for k, fut in enumerate(futures):
-            try:
-                results[k] = fut.result()
-            except TransportError as exc:
-                failures.append((k, exc))
+    workers = 1 if transport.in_process else min(cfg.max_in_flight, n)
+    if workers == 1:
+        results = [one(k) for k in range(n)]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(one, k) for k in range(n)]
+            results = [fut.result() for fut in futures]
 
     instances = [
         Document(id=f"{raw.id}#gen{k + 1}", text=text, label=raw.label)
         for k, text in enumerate(results)
-        if text is not None
+        if isinstance(text, str)
     ]
+    failures = [(k, exc) for k, exc in enumerate(results) if isinstance(exc, TransportError)]
     if failures:
         slot, exc = failures[0]
         raise PartialGeneration(

@@ -64,6 +64,8 @@ def _write_json(path, obj):
 
 def _write_manifest(out_path, command: str, args: argparse.Namespace, inputs, started: float):
     finished = time.time()
+    if args.embeddings:  # read by every command that is given one
+        inputs = [*inputs, args.embeddings]
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
@@ -289,7 +291,8 @@ def cmd_augment(args) -> int:
     _write_json(args.scores, _scores_payload(runs, cfg, transport.transport_id))
     if recorder is not None:
         recorder.dump(args.record_file)
-    _write_manifest(args.out, "augment", args, [args.input], started)
+    replayed = [args.replay_file] if args.transport == "replay" else []
+    _write_manifest(args.out, "augment", args, [args.input, *replayed], started)
     print(f"wrote {args.out} ({n_records} records) and {args.scores}")
     if error is not None:
         print(f"error: {error} (partial results kept)", file=sys.stderr)
@@ -352,7 +355,8 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     p_augment.add_argument("--fraction", type=float, default=0.5,
                            help="fraction of instances kept, by descending suitability")
     p_augment.add_argument("--prompt-template", default=DEFAULT_PROMPT)
-    p_augment.add_argument("--max-in-flight", type=int, default=4)
+    p_augment.add_argument("--max-in-flight", type=int, default=4,
+                           help="most concurrent live requests (mock and replay run in order)")
     p_augment.add_argument("--seed", type=int, default=0,
                            help="seed of the mock transport, recorded in the config hash")
     p_augment.add_argument("--keep-partial", action="store_true",

@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import threading
 
 import pytest
 
@@ -38,8 +39,10 @@ class FlakyTransport(Transport):
     def __init__(self, fail_from: int, mock: MockTransport | None = None):
         self.fail_from = fail_from
         self.mock = mock or MockTransport(seed=0)
+        self.calls: dict[int, int] = {}
 
     def complete(self, prompt, cfg, slot=0):
+        self.calls[slot] = self.calls.get(slot, 0) + 1
         if slot >= self.fail_from:
             raise TransportError(f"slot {slot} unavailable")
         return self.mock.complete(prompt, cfg, slot=slot)
@@ -243,22 +246,80 @@ class TestLiveTransport:
 
 
 class TestGenerateInstances:
+    # both generation paths: slot by slot on the calling thread, and a pool
+    # of max_in_flight threads for a transport that waits
     def test_partial_generation_carries_instances(self, raw):
         cfg = GenerationConfig(n_instances=8, seed=0)
-        with pytest.raises(PartialGeneration) as exc_info:
-            generate_instances(raw, cfg, FlakyTransport(fail_from=3))
-        got = exc_info.value.instances
-        assert [d.id for d in got] == ["r1#gen1", "r1#gen2", "r1#gen3"]
+        for in_process in (False, True):
+            transport = FlakyTransport(fail_from=3)
+            transport.in_process = in_process
+            with pytest.raises(PartialGeneration) as exc_info:
+                generate_instances(raw, cfg, transport)
+            got = exc_info.value.instances
+            assert [d.id for d in got] == ["r1#gen1", "r1#gen2", "r1#gen3"]
+            assert str(exc_info.value) == "r1: transport failed on slot 4: slot 3 unavailable"
+            assert transport.calls == {k: 1 for k in range(8)}  # every slot attempted
 
     def test_empty_completion_dropped_with_warning(self, raw, caplog):
         cfg = GenerationConfig(n_instances=4, seed=1)
-        transport = EmptyOnceTransport()
-        with caplog.at_level(logging.WARNING, logger="zgptda.augment"):
-            docs = generate_instances(raw, cfg, transport)
-        assert len(docs) == 3
-        assert "r1#gen2" not in [d.id for d in docs]
-        assert transport.calls[1] == 2  # retried once before dropping
-        assert any("empty completion" in r.message for r in caplog.records)
+        for in_process in (False, True):
+            transport = EmptyOnceTransport()
+            transport.in_process = in_process
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="zgptda.augment"):
+                docs = generate_instances(raw, cfg, transport)
+            assert [d.id for d in docs] == ["r1#gen1", "r1#gen3", "r1#gen4"]
+            assert transport.calls == {0: 1, 1: 2, 2: 1, 3: 1}  # retried once before dropping
+            assert [r.message for r in caplog.records] == [
+                "r1: slot 2 returned an empty completion twice; dropped"]
+
+    @pytest.mark.parametrize("kind", ["mock", "replay", "recording"])
+    def test_in_process_transports_called_on_the_calling_thread(self, raw, tmp_path, kind,
+                                                               monkeypatch):
+        import zgptda.augment as augment
+
+        cfg = GenerationConfig(n_instances=4, seed=2)
+        transport = MockTransport(seed=2)
+        if kind == "replay":
+            recorder = RecordingTransport(transport)
+            generate_instances(raw, cfg, recorder)
+            recorder.dump(tmp_path / "gens.jsonl")
+            transport = ReplayTransport(tmp_path / "gens.jsonl")
+        elif kind == "recording":
+            transport = RecordingTransport(transport)
+        assert transport.in_process
+        threads = []
+        complete = transport.complete
+
+        def on_thread(prompt, cfg, slot=0):
+            threads.append(threading.get_ident())
+            return complete(prompt, cfg, slot=slot)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        transport.complete = on_thread
+        monkeypatch.setattr(augment, "ThreadPoolExecutor", no_pool)
+        docs = generate_instances(raw, cfg, transport)
+        assert [d.id for d in docs] == [f"r1#gen{k}" for k in range(1, 5)]
+        assert threads == [threading.get_ident()] * 4
+
+    def test_waiting_transport_gets_max_in_flight_calls_at_once(self, raw):
+        class Waiting(Transport):
+            transport_id = "waiting"
+            mock = MockTransport(seed=3)
+            # a sequential regression breaks the barrier after 5 s, not never
+            both_in_flight = threading.Barrier(2, timeout=5)
+
+            def complete(self, prompt, cfg, slot=0):
+                self.both_in_flight.wait()
+                return self.mock.complete(prompt, cfg, slot=slot)
+
+        cfg = GenerationConfig(n_instances=4, seed=3, max_in_flight=2)
+        docs = generate_instances(raw, cfg, Waiting())
+        assert [d.text for d in docs] == [
+            MockTransport(seed=3).complete(cfg.prompt_template.format(n=4, text=raw.text), cfg, slot=k)
+            for k in range(4)]
 
 
 class TestScoreInstance:

@@ -6,6 +6,7 @@ import pytest
 
 from zgptda.augment import GenerationConfig, MockTransport
 from zgptda.cli import main
+from zgptda.corpus import Document, load_jsonl, tokenize
 from tests.conftest import make_raw_dataset
 
 
@@ -31,6 +32,18 @@ class TestAnalyze:
         assert manifest["command"] == "analyze"
         assert manifest["seed"] is None
         assert str(dataset) in manifest["input_sha256"]
+
+    def test_manifest_hashes_the_embeddings_file(self, dataset, tmp_path):
+        merged = "\n".join(d.text for d in load_jsonl(dataset))
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text("".join(  # one vector per word: at least one per unit
+            json.dumps({"id": "raw", "unit_index": k, "vector": [k % 7 / 7, 1.0]}) + "\n"
+            for k in range(len(tokenize(Document(id="raw", text=merged)).words))))
+        out = tmp_path / "report.json"
+        assert run(["analyze", dataset, "--out", out, "--embeddings", vectors]) == 0
+        manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+        assert manifest["input_sha256"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (dataset, vectors)}
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert run(["analyze", tmp_path / "nope.jsonl", "--out", tmp_path / "r.json"]) == 1
@@ -204,6 +217,17 @@ class TestAugment:
             "--out", out2, "--scores", tmp_path / "s2.json",
         ]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_manifest_hashes_the_replay_file(self, dataset, tmp_path):
+        rec = tmp_path / "gens.jsonl"
+        flags = ["--n", "2", "--seed", "2", "--scores", tmp_path / "s.json"]
+        assert run(["augment", dataset, *flags, "--out", tmp_path / "a1.jsonl",
+                    "--record-file", rec]) == 0
+        assert run(["augment", dataset, *flags, "--out", tmp_path / "a2.jsonl",
+                    "--transport", "replay", "--replay-file", rec]) == 0
+        manifest = json.loads((tmp_path / "a2.jsonl.manifest.json").read_text())
+        assert manifest["input_sha256"] == {
+            str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (dataset, rec)}
 
     def test_replay_miss_exit_2_without_outputs(self, dataset, tmp_path, capsys):
         empty = tmp_path / "gens.jsonl"
