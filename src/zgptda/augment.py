@@ -25,15 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Document, tokenize
-from .fitkit import NotFittable, _attempt
-from .laws import (HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport, build_all_many,
-                   evaluate_all, fit_reports)
-# mandelbrot_conformity, law_vector, aggregate and infer_suitability are not
-# called here: perfbench/instrument.py looks them up on this module
-from .mfdfa import (DEFAULT_Q_GRID, Q_REF, EmbeddingProvider, FluctuationMatrix,  # noqa: F401
-                    HashedTrigramEmbedder, MultifractalSpectrum, ScalarSeries, build_series,
-                    build_series_many, conformity_series, default_scales, fluctuation,
-                    mandelbrot_conformity, profile, spectrum)
+from .fitkit import NotFittable
+# evaluate_all, build_series, mandelbrot_conformity, law_vector, aggregate and
+# infer_suitability are not called here: perfbench/instrument.py looks them up
+# on this module
+from .laws import (HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport,  # noqa: F401
+                   build_all_many, evaluate_all, fit_reports)
+from .mfdfa import (DEFAULT_Q_GRID, Q_REF, EmbeddingProvider, HashedTrigramEmbedder,  # noqa: F401
+                    MultifractalSpectrum, build_series, build_series_many, conformity_series,
+                    default_scales, fluctuation, mandelbrot_conformity, profile, spectrum)
 from .zscore import (Suitability, ZNumber, aggregate, infer_suitability,  # noqa: F401
                      law_vector, score_laws)
 
@@ -410,20 +410,26 @@ class ScoredInstance:
 _FALLBACK_EMBEDDER = HashedTrigramEmbedder()
 
 
-def _mandelbrot_report(
-    series: ScalarSeries | NotFittable, q_grid, m: int
-) -> tuple[LawReport, FluctuationMatrix | None]:
-    """The multifractal law's report with its series F_{Q_REF}(s), not yet
-    fitted, plus F_q(s) over ``q_grid`` (which must hold Q_REF), from a
-    text's scalar series or the NotFittable its build raised; the matrix is
-    None when the text is too short to compute it."""
-    try:
-        if isinstance(series, NotFittable):
-            raise series
-        fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
-    except NotFittable as exc:
-        return LawReport(law="mandelbrot", series=None, detail=str(exc)), None
-    return LawReport(law="mandelbrot", series=conformity_series(fluct)), fluct
+def _fit_laws(docs, tss, embedder, q_grid, m, segment_len=TAYLOR_SEGMENT_LEN, max_block=HILBERG_MAX_BLOCK):
+    """Each document's eight law reports, fitted, and its F_q(s) over
+    ``q_grid`` (which must hold Q_REF) with detrending order ``m``, or None
+    when the text is too short for it; ``tss`` are the documents' token
+    streams. All documents' token-level laws are built, their units embedded
+    and every report fitted at once; the fluctuation runs per document."""
+    law_reports = build_all_many(tss, segment_len=segment_len, max_block=max_block)
+    flucts = []
+    for reports, series in zip(law_reports, build_series_many(docs, embedder or _FALLBACK_EMBEDDER, tss)):
+        fluct = None
+        try:
+            if isinstance(series, NotFittable):
+                raise series
+            fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
+            reports.append(LawReport(law="mandelbrot", series=conformity_series(fluct)))
+        except NotFittable as exc:
+            reports.append(LawReport(law="mandelbrot", series=None, detail=str(exc)))
+        flucts.append(fluct)
+    fit_reports([r for reports in law_reports for r in reports])
+    return law_reports, flucts
 
 
 def score_instances(
@@ -439,12 +445,7 @@ def score_instances(
     renormalizes over the rest) and listed in ``excluded_laws``. An instance
     with zero fittable laws is flagged ``no_signal`` and scored 0.
     """
-    tss = [tokenize(doc) for doc in docs]
-    law_reports = build_all_many(tss)
-    all_series = build_series_many(docs, embedder or _FALLBACK_EMBEDDER, tss)
-    for reports, series in zip(law_reports, all_series):
-        reports.append(_mandelbrot_report(series, (Q_REF,), 1)[0])
-    fit_reports([r for reports in law_reports for r in reports])
+    law_reports, _ = _fit_laws(docs, [tokenize(doc) for doc in docs], embedder, (Q_REF,), 1)
     metrics = [[r.fit.metrics for r in reports if r.fittable] for reports in law_reports]
     zs, suits = score_laws(np.array([(m.r2, m.kl, m.js, m.mape) for ms in metrics for m in ms]),
                            [len(ms) for ms in metrics])
@@ -610,18 +611,14 @@ def evaluate_corpus(
         raise ValueError("corpus is empty")
     merged = Document(id=name, text="\n".join(d.text for d in docs))
     ts = tokenize(merged)
-    reports = evaluate_all(ts, segment_len=segment_len, max_block=max_block)
     q_grid = DEFAULT_Q_GRID if with_spectrum else (Q_REF,)
-    series = _attempt(build_series, merged, embedder or _FALLBACK_EMBEDDER, ts)
-    mandelbrot, fluct = _mandelbrot_report(series, q_grid, m=detrend_order)
-    fit_reports([mandelbrot])
+    (reports,), (fluct,) = _fit_laws([merged], [ts], embedder, q_grid, detrend_order, segment_len, max_block)
     spec = None
     if with_spectrum and fluct is not None:
         try:
             spec = spectrum(fluct)
         except NotFittable as exc:
-            mandelbrot = LawReport(law="mandelbrot", series=None, detail=str(exc))
-    reports.append(mandelbrot)
+            reports[-1] = LawReport(law="mandelbrot", series=None, detail=str(exc))
     return CorpusEvaluation(
         name=name,
         n_documents=len(docs),

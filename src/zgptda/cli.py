@@ -412,13 +412,16 @@ def main(argv=None) -> int:
         if not os.path.isdir(os.path.dirname(str(path)) or "."):
             print(f"error: the directory of {path} does not exist", file=sys.stderr)
             return EXIT_INPUT
+        if os.path.isdir(path):
+            print(f"error: {path} is a directory", file=sys.stderr)
+            return EXIT_INPUT
     shared = _shared_path(args)
     if shared:
         print(f"error: {shared}", file=sys.stderr)
         return EXIT_INPUT
     try:
         return args.func(args)
-    except (LoadError, FileNotFoundError, ValueError) as exc:
+    except (LoadError, FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TransportError, PartialGeneration, ProviderError) as exc:

@@ -40,7 +40,6 @@ __all__ = [
     "ebeling_series_many",
     "menzerath_series_many",
     "benford_series_many",
-    "build_all",
     "build_all_many",
     "fit_reports",
     "evaluate_all",
@@ -342,35 +341,21 @@ def _report(law: str, series) -> LawReport:
     return LawReport(law=law, series=series)
 
 
-def build_all(
-    ts: TokenStream,
+def build_all_many(
+    tss: Sequence[TokenStream],
     *,
     segment_len: int = TAYLOR_SEGMENT_LEN,
     max_block: int = HILBERG_MAX_BLOCK,
-) -> list[LawReport]:
-    """Build the series of all seven token-level laws, not yet fitted.
+) -> list[list[LawReport]]:
+    """Build the series of all seven token-level laws of each text, not yet
+    fitted; every law but taylor is built for all the texts at once.
 
     A law whose series cannot be assembled (:class:`NotFittable`) is
     reported unfittable with the reason. Report order matches :data:`LAW_NAMES`.
     """
-    series_of = {
-        "zipf": lambda: zipf_series(ts),
-        "heaps": lambda: heaps_series(ts),
-        "taylor": lambda: taylor_series(ts, segment_len),
-        "hilberg": lambda: hilberg_series(ts, max_block),
-        "ebeling": lambda: ebeling_series(ts),
-        "menzerath": lambda: menzerath_series(ts),
-        "benford": lambda: benford_series(ts),
-    }
-    return [_report(law, _attempt(series_of[law])) for law in LAW_NAMES]
-
-
-def build_all_many(tss: Sequence[TokenStream]) -> list[list[LawReport]]:
-    """:func:`build_all` of each text with the default segment length and
-    largest block; every law but taylor is built for all the texts at once."""
     by_law = (zipf_series_many(tss), heaps_series_many(tss),
-              [_attempt(taylor_series, ts) for ts in tss],
-              hilberg_series_many(tss), ebeling_series_many(tss),
+              [_attempt(taylor_series, ts, segment_len) for ts in tss],
+              hilberg_series_many(tss, max_block), ebeling_series_many(tss),
               menzerath_series_many(tss), benford_series_many(tss))
     return [list(map(_report, LAW_NAMES, row)) for row in zip(*by_law)]
 
@@ -405,4 +390,4 @@ def evaluate_all(
     Unfittable laws are flagged in their report, never fatal, so short texts
     degrade gracefully. Report order matches :data:`LAW_NAMES`.
     """
-    return fit_reports(build_all(ts, segment_len=segment_len, max_block=max_block))
+    return fit_reports(build_all_many([ts], segment_len=segment_len, max_block=max_block)[0])

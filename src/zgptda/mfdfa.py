@@ -215,9 +215,10 @@ class HashedTrigramEmbedder(EmbeddingProvider):
 class FileVectorEmbedder(EmbeddingProvider):
     """Precomputed vectors read from a JSONL file.
 
-    Each record is ``{"id": str, "unit_index": int, "vector": [float, ...]}``;
-    all vectors must share one dimension and the records for a document must
-    cover unit indices 0..n-1.
+    Each record is ``{"id": str, "unit_index": int, "vector": [float, ...]}``
+    with a unit index >= 0 and finite components; no (id, unit index) may
+    repeat, all vectors must share one dimension and the records for a
+    document must cover unit indices 0..n-1.
     """
 
     def __init__(self, path):
@@ -230,12 +231,21 @@ class FileVectorEmbedder(EmbeddingProvider):
                     continue
                 try:
                     obj = json.loads(line)
-                    key = (obj["id"], int(obj["unit_index"]))
+                    key = (obj["id"], obj["unit_index"])
+                    if not isinstance(key[0], str):
+                        raise TypeError("id must be a string")
                     vec = np.asarray(obj["vector"], dtype=float)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     raise ProviderError(f"{path}: line {lineno}: bad embedding record") from exc
+                # a JSON integer, not a bool (an int subclass), a float or a string
+                if type(key[1]) is not int or key[1] < 0:
+                    raise ProviderError(f"{path}: line {lineno}: unit_index must be an integer >= 0")
+                if key in self._vectors:
+                    raise ProviderError(f"{path}: line {lineno}: repeats {key[0]!r} unit {key[1]}")
                 if vec.ndim != 1 or vec.size == 0:
                     raise ProviderError(f"{path}: line {lineno}: vector must be non-empty 1-D")
+                if not np.isfinite(vec).all():
+                    raise ProviderError(f"{path}: line {lineno}: vector has a non-finite component")
                 if self.dimension == 0:
                     self.dimension = vec.size
                 elif vec.size != self.dimension:

@@ -549,6 +549,20 @@ class TestCompareCorpora:
         with pytest.raises(ValueError, match=message):
             evaluate_corpus([doc], **{knob: 0})
 
+    @pytest.mark.parametrize("text", [
+        MockTransport(seed=0).complete("Restate: pumps fail.", GenerationConfig()),
+        "Short text here.",
+        "The pump failed. " * 120,
+    ], ids=["mock-completion", "short", "repeated-sentence"])
+    def test_corpus_route_equals_scoring_route(self, text):
+        # analyze and compare build, embed and fit a text as augment scores it
+        def facts(reports):
+            return [(r.law, r.detail) + ((r.fit.exponent, r.fit.metrics, r.fit.fitted_y.tolist())
+                                         if r.fit is not None else ()) for r in reports]
+
+        doc = Document(id="d", text=text)
+        assert facts(evaluate_corpus([doc]).reports) == facts(score_instance(doc).law_reports)
+
     def test_corpus_evaluation_counts(self, book_a):
         ev = evaluate_corpus([book_a], name="b")
         assert ev.word_count > 10_000

@@ -48,17 +48,23 @@ class TestAnalyze:
     def test_missing_file_exit_1(self, tmp_path, capsys):
         assert run(["analyze", tmp_path / "nope.jsonl", "--out", tmp_path / "r.json"]) == 1
         assert "nope.jsonl" in capsys.readouterr().err
+        (tmp_path / "dir.jsonl").mkdir()
+        assert run(["analyze", tmp_path / "dir.jsonl", "--out", tmp_path / "r.json"]) == 1
+        assert "dir.jsonl" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag", [("analyze", "--out"), ("compare", "--csv")])
+    @pytest.mark.parametrize("command, flag, target", [
+        ("analyze", "--out", "nodir/out"), ("compare", "--csv", "nodir/out"), ("analyze", "--out", "somedir"),
+    ], ids=["analyze---out", "compare---csv", "analyze---out-directory"])
     def test_missing_output_directory_rejected_before_analysis(self, dataset, tmp_path, command, flag,
-                                                               monkeypatch, capsys):
+                                                               target, monkeypatch, capsys):
         import zgptda.augment
         import zgptda.cli
 
         calls = []
         for module in (zgptda.cli, zgptda.augment):  # compare_corpora calls it from augment
             monkeypatch.setattr(module, "evaluate_corpus", lambda *a, **kw: calls.append(a))
-        missing = tmp_path / "nodir" / "out"
+        (tmp_path / "somedir").mkdir()  # an output path that is a directory
+        missing = tmp_path / target
         inputs = [dataset] * (2 if command == "compare" else 1)
         assert run([command, *inputs, "--out", tmp_path / "r.json", flag, missing]) == 1
         err = capsys.readouterr().err
@@ -370,22 +376,26 @@ class TestAugment:
             ("r0", f"replay:{rec}", False), ("r1", f"replay:{rec}", False), ("r2", f"replay:{rec}", True)]
         assert {r["config_sha256"] for r in runs} == {config_sha256}
 
-    @pytest.mark.parametrize("flag", ["--out", "--scores", "--record-file"])
-    def test_missing_output_directory_rejected_before_generation(self, dataset, tmp_path, flag,
+    @pytest.mark.parametrize("flag, target", [
+        ("--out", "nodir/x.json"), ("--scores", "nodir/x.json"), ("--record-file", "nodir/x.json"),
+        ("--scores", "somedir"),
+    ], ids=["--out", "--scores", "--record-file", "--scores-directory"])
+    def test_missing_output_directory_rejected_before_generation(self, dataset, tmp_path, flag, target,
                                                                  monkeypatch, capsys):
         calls = []
         complete = MockTransport.complete
         monkeypatch.setattr(MockTransport, "complete",
                             lambda self, *a, **kw: calls.append(a) or complete(self, *a, **kw))
+        (tmp_path / "somedir").mkdir()  # an output path that is a directory
         paths = {"--out": tmp_path / "a.jsonl", "--scores": tmp_path / "s.json",
                  "--record-file": tmp_path / "rec.jsonl"}
-        paths[flag] = missing = tmp_path / "nodir" / "x.json"
+        paths[flag] = missing = tmp_path / target
         assert run(["augment", dataset, "--transport", "mock", "--n", "2",
                     *(a for item in paths.items() for a in item)]) == 1
         err = capsys.readouterr().err
         assert str(missing) in err and ".tmp" not in err
         assert calls == []
-        assert not any(p.exists() for p in paths.values())
+        assert [p for p in paths.values() if p.exists() and p != tmp_path / "somedir"] == []
 
     @pytest.mark.parametrize("flags, names", [
         ({"--out": "x.json", "--scores": "x.json"}, "--out and --scores"),

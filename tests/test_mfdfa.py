@@ -151,6 +151,25 @@ class TestBuildSeries:
         with pytest.raises(ProviderError, match="dimension"):
             FileVectorEmbedder(path)
 
+    @pytest.mark.parametrize("second, match", [
+        ({"unit_index": 1.7}, "line 2: unit_index must be an integer >= 0"),
+        ({"unit_index": True}, "line 2: unit_index must be an integer >= 0"),
+        ({"unit_index": "2"}, "line 2: unit_index must be an integer >= 0"),
+        ({"unit_index": -1}, "line 2: unit_index must be an integer >= 0"),
+        ({"unit_index": 0}, "line 2: repeats 'd' unit 0"),
+        ({"vector": [1.0, float("nan")]}, "line 2: vector has a non-finite component"),
+        ({"vector": [float("inf"), 2.0]}, "line 2: vector has a non-finite component"),
+        ({"id": 5}, "line 2: bad embedding record"),
+    ], ids=["float-index", "bool-index", "string-index", "negative-index", "repeated-key", "nan", "inf",
+            "integer-id"])
+    def test_file_vectors_bad_record(self, tmp_path, second, match):
+        path = tmp_path / "vecs.jsonl"
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"id": "d", "unit_index": 0, "vector": [1.0, 2.0]}) + "\n")
+            fh.write(json.dumps({"id": "d", "unit_index": 1, "vector": [1.0, 2.0], **second}) + "\n")
+        with pytest.raises(ProviderError, match=match):
+            FileVectorEmbedder(path)
+
 
 class TestFluctuation:
     def test_linear_profile_floors_and_flags(self):
