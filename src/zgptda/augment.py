@@ -26,14 +26,14 @@ import numpy as np
 
 from .corpus import Document, tokenize
 from .fitkit import NotFittable
-# evaluate_all, build_series, mandelbrot_conformity, law_vector, aggregate and
-# infer_suitability are not called here: perfbench/instrument.py looks them up
-# on this module
+# evaluate_all, build_series, fluctuation, mandelbrot_conformity, law_vector,
+# aggregate and infer_suitability are not called here: perfbench/instrument.py
+# looks them up on this module
 from .laws import (HILBERG_MAX_BLOCK, LAW_NAMES, TAYLOR_SEGMENT_LEN, LawReport,  # noqa: F401
                    build_all_many, evaluate_all, fit_reports)
 from .mfdfa import (DEFAULT_Q_GRID, Q_REF, EmbeddingProvider, HashedTrigramEmbedder,  # noqa: F401
-                    MultifractalSpectrum, build_series, build_series_many, conformity_series,
-                    default_scales, fluctuation, mandelbrot_conformity, profile, spectrum)
+                    MultifractalSpectrum, build_series, build_series_many, conformity_series, default_scales,
+                    fluctuation, fluctuation_many, mandelbrot_conformity, profile, spectrum)
 from .zscore import (Suitability, ZNumber, aggregate, infer_suitability,  # noqa: F401
                      law_vector, score_laws)
 
@@ -409,25 +409,26 @@ class ScoredInstance:
 
 _FALLBACK_EMBEDDER = HashedTrigramEmbedder()
 
+# most characters of text run_augmentation scores in one batch (about 84 mock
+# paraphrases); peak memory grows with it, mostly the builders' and fits' temporaries
+_SCORE_BATCH_CHARS = 2 ** 16
+
 
 def _fit_laws(docs, tss, embedder, q_grid, m, segment_len=TAYLOR_SEGMENT_LEN, max_block=HILBERG_MAX_BLOCK):
     """Each document's eight law reports, fitted, and its F_q(s) over
     ``q_grid`` (which must hold Q_REF) with detrending order ``m``, or None
     when the text is too short for it; ``tss`` are the documents' token
-    streams. All documents' token-level laws are built, their units embedded
-    and every report fitted at once; the fluctuation runs per document."""
+    streams. All documents' token-level laws are built, their units embedded,
+    their F_q(s) computed and every report fitted at once."""
     law_reports = build_all_many(tss, segment_len=segment_len, max_block=max_block)
-    flucts = []
-    for reports, series in zip(law_reports, build_series_many(docs, embedder or _FALLBACK_EMBEDDER, tss)):
-        fluct = None
-        try:
-            if isinstance(series, NotFittable):
-                raise series
-            fluct = fluctuation(profile(series), default_scales(len(series)), q_grid, m=m)
-            reports.append(LawReport(law="mandelbrot", series=conformity_series(fluct)))
-        except NotFittable as exc:
-            reports.append(LawReport(law="mandelbrot", series=None, detail=str(exc)))
-        flucts.append(fluct)
+    series = build_series_many(docs, embedder or _FALLBACK_EMBEDDER, tss)
+    fitted = [s for s in series if not isinstance(s, NotFittable)]
+    grids = {n: default_scales(n) for n in {len(s) for s in fitted}}
+    computed = iter(fluctuation_many(list(map(profile, fitted)), [grids[len(s)] for s in fitted], q_grid, m))
+    flucts = [None if isinstance(s, NotFittable) else next(computed) for s in series]
+    for reports, s, fluct in zip(law_reports, series, flucts):
+        reports.append(LawReport(law="mandelbrot", series=None, detail=str(s)) if fluct is None
+                       else LawReport(law="mandelbrot", series=conformity_series(fluct)))
     fit_reports([r for reports in law_reports for r in reports])
     return law_reports, flucts
 
@@ -438,9 +439,9 @@ def score_instances(
     """Fit all eight laws on each document and attach its suitability.
 
     The documents are scored as one batch: the token-level laws but taylor
-    are built, the units embedded, the log-log and first-digit laws fitted,
-    and all fitted laws graded and inferred, each for all documents at once;
-    tokenizing and fluctuation run per document. Unfittable laws are
+    are built, the units embedded, F_q(s) computed, the log-log and
+    first-digit laws fitted, and all fitted laws graded and inferred, each for
+    all documents at once; tokenizing runs per document. Unfittable laws are
     excluded from their instance's aggregation (the Z-number mean
     renormalizes over the rest) and listed in ``excluded_laws``. An instance
     with zero fittable laws is flagged ``no_signal`` and scored 0.
@@ -501,24 +502,35 @@ def run_augmentation(
 ) -> tuple[list[AugmentationRun], PartialGeneration | None]:
     """Generate, score, rank, and select for every raw example.
 
-    On transport exhaustion the partial instances of the failing example are
-    still scored and included; the run list produced so far is returned
-    together with the error so callers can preserve partial results.
+    Instances are scored in batches of consecutive instances, which may span
+    raw examples, of at most :data:`_SCORE_BATCH_CHARS` characters (or one).
+    On transport exhaustion the failing example's partial instances are still
+    scored and included; the runs so far are returned with the error.
     """
-    runs: list[AugmentationRun] = []
+    generated, scored, batch, size = [], [], [], 0
+    error: PartialGeneration | None = None
     for raw in raws:
-        error: PartialGeneration | None = None
         try:
             docs = generate_instances(raw, cfg, transport)
         except PartialGeneration as exc:
             docs, error = exc.instances, exc
-        scored = rank_instances(score_instances(docs, embedder=embedder)) if docs else []
-        selected = select_augmented(scored, cfg.top_fraction) if scored else []
-        runs.append(AugmentationRun(raw=raw, instances=scored, selected=selected,
-                                    partial=error is not None))
+        generated.append((raw, docs))
+        for doc in docs:
+            if batch and size + len(doc.text) > _SCORE_BATCH_CHARS:
+                scored += score_instances(batch, embedder=embedder)
+                batch, size = [], 0
+            batch.append(doc)
+            size += len(doc.text)
         if error is not None:
-            return runs, error
-    return runs, None
+            break
+    if batch:
+        scored += score_instances(batch, embedder=embedder)
+    runs, at = [], 0
+    for k, (raw, docs) in enumerate(generated, start=1):
+        own, at = rank_instances(scored[at:at + len(docs)]), at + len(docs)
+        runs.append(AugmentationRun(raw=raw, instances=own, selected=select_augmented(own, cfg.top_fraction)
+                                    if own else [], partial=error is not None and k == len(generated)))
+    return runs, error
 
 
 def atomic_write_text(path, text: str) -> None:

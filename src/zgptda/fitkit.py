@@ -85,6 +85,20 @@ class EmpiricalSeries:
     def __len__(self):
         return self.x.size
 
+    @classmethod
+    def _many(cls, x, y, lengths, law: str) -> list["EmpiricalSeries"]:
+        """The series of consecutive runs of `lengths` points of x and y, checked once for all."""
+        starts = np.cumsum(lengths) - lengths
+        rising = x[1:] > x[:-1]
+        rising[starts[(starts > 0) & (starts < x.size)] - 1] = True
+        if x.shape != y.shape or (x <= 0).any() or not rising.all() or (y < 0).any():
+            raise ValueError(f"{law}: a built series breaks the EmpiricalSeries checks")
+        made = []
+        for a, n in zip(starts.tolist(), lengths.tolist()):
+            made.append(series := object.__new__(cls))
+            series.x, series.y, series.law = x[a:a + n], y[a:a + n], law
+        return made
+
 
 @dataclass(frozen=True)
 class FitMetrics:
@@ -221,13 +235,13 @@ def fit_loglog_many(series: Sequence[EmpiricalSeries]) -> list[LawFit | NotFitta
     counts = np.array([n_pos[i] for i in ok])
     lengths = np.array([series[i].x.size for i in ok])
     total, spread = _segments(counts)
-    # centered normal equations; x is strictly increasing, so dx @ dx > 0. The
-    # products are taken per series, so they round as for that series alone
+    # centered normal equations; x is strictly increasing, so dx @ dx > 0. The products are
+    # taken per series on copies, so they round as for it alone on any BLAS kernel
     lx, ly = np.log(x[keep]), np.log(y)
     mean_x, mean_y = total(lx) / counts, total(ly) / counts
     dx, dy = lx - spread(mean_x), ly - spread(mean_y)
-    bounds = [(end - n, end) for end, n in zip(counts.cumsum().tolist(), counts.tolist())]
-    slope = np.array([dx[a:b] @ dy[a:b] / (dx[a:b] @ dx[a:b]) for a, b in bounds])
+    slope = np.array([(a := dx[end - n:end].copy()) @ dy[end - n:end].copy() / (a @ a)
+                      for end, n in zip(counts.cumsum().tolist(), counts.tolist())])
     prefactor = np.exp(mean_y - slope * mean_x)
     fitted = prefactor.repeat(lengths) * x ** slope.repeat(lengths)
     metrics = _segment_metrics(y, fitted[keep], counts)
@@ -269,7 +283,7 @@ def _only(results):
 def fit_benford_many(rows) -> list[LawFit | NotFittable]:
     """:func:`fit_benford` of each row of nine frequencies, or the
     :class:`NotFittable` it raises alone. The two products of a row are taken
-    on their own, so they round as for that row alone; the rest is one batch."""
+    on copies, so they round as for that row alone; the rest is one batch."""
     if not len(rows):
         return []
     f = np.asarray(rows, dtype=float)
@@ -279,8 +293,8 @@ def fit_benford_many(rows) -> list[LawFit | NotFittable]:
         raise ValueError("frequencies must be nonnegative")
     fits = (f > 0).any(axis=1)
     f = f[fits]
-    beta = np.array([_BENFORD_PINV @ row for row in np.log(np.where(f > 0, f, _EPS))]).reshape(-1, 3)
-    fitted = np.exp(np.array([_BENFORD_DESIGN @ b for b in beta]).reshape(-1, 9))
+    beta = np.array([_BENFORD_PINV @ row.copy() for row in np.log(np.where(f > 0, f, _EPS))]).reshape(-1, 3)
+    fitted = np.exp(np.array([_BENFORD_DESIGN @ b.copy() for b in beta]).reshape(-1, 9))
     fitted /= fitted.sum(axis=1, keepdims=True)
     metrics = _segment_metrics(f.ravel(), fitted.ravel(), np.full(len(f), 9))
     prefactors = np.exp(beta[:, 0]).tolist()

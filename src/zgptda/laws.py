@@ -74,9 +74,8 @@ class LawReport:
 def _cut(law, x, y, lengths, fits, detail):
     """One series per text from the texts' points laid end to end, `lengths`
     points each, or for a text that `fits` not, NotFittable(`detail`)."""
-    ends = np.cumsum(lengths).tolist()
-    return [EmpiricalSeries(x[end - n:end], y[end - n:end], law=law) if ok else NotFittable(detail)
-            for end, n, ok in zip(ends, np.asarray(lengths).tolist(), fits.tolist())]
+    return [series if ok else NotFittable(detail)
+            for series, ok in zip(EmpiricalSeries._many(x, y, lengths, law), fits.tolist())]
 
 
 def _word_codes(tss):
@@ -207,9 +206,9 @@ def hilberg_series_many(
         total, spread = _segments(distinct)
         probs = counts[present] / spread(n[alive] - mu + 1)
         entropy[alive, mu - 1] = -total(probs * np.log(probs))
-    return [EmpiricalSeries(np.arange(1.0, m + 1), y[:m], law="hilberg") if m
-            else NotFittable("hilberg: no word tokens")
-            for y, m in zip(entropy, np.minimum(n, max_block).tolist())]
+    m = np.minimum(n, max_block)
+    x = np.arange(1.0, m.sum() + 1) - np.repeat(np.cumsum(m) - m, m)
+    return _cut("hilberg", x, entropy[np.arange(max_block) < m[:, None]], m, m > 0, "hilberg: no word tokens")
 
 
 def hilberg_series(ts: TokenStream, max_block: int = HILBERG_MAX_BLOCK) -> EmpiricalSeries:
@@ -275,8 +274,9 @@ def ebeling_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | No
                 y.append((w * (r - tl) - iw) / (w * w))
         us.append(u)
         u *= 2
-    built = iter([EmpiricalSeries(np.array(us[:len(y)], dtype=float), np.array(y), law="ebeling")
-                  for y in ys])
+    built = iter(EmpiricalSeries._many(np.array([v for y in ys for v in us[:len(y)]], dtype=float),
+                                       np.array([v for y in ys for v in y]),
+                                       np.array([len(y) for y in ys], np.int64), "ebeling"))
     return [next(built) if ok else NotFittable(f"ebeling: {m} characters is too short")
             for ok, m in zip(fits.tolist(), n_chars.tolist())]
 
@@ -326,7 +326,8 @@ def benford_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries]:
     counts = np.bincount(keys, minlength=10 * len(tss)).reshape(-1, 10)[:, 1:]
     # absent digits are 0, and so are all of a text without sentences
     freqs = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
-    return [EmpiricalSeries(np.arange(1.0, 10.0), row, law="benford") for row in freqs]
+    return EmpiricalSeries._many(np.tile(np.arange(1.0, 10.0), len(tss)), freqs.ravel(),
+                                 np.full(len(tss), 9), "benford")
 
 
 def benford_series(ts: TokenStream) -> EmpiricalSeries:

@@ -44,6 +44,7 @@ __all__ = [
     "profile",
     "default_scales",
     "fluctuation",
+    "fluctuation_many",
     "spectrum",
     "conformity_series",
     "mandelbrot_conformity",
@@ -216,9 +217,9 @@ class FileVectorEmbedder(EmbeddingProvider):
     """Precomputed vectors read from a JSONL file.
 
     Each record is ``{"id": str, "unit_index": int, "vector": [float, ...]}``
-    with a unit index >= 0 and finite components; no (id, unit index) may
-    repeat, all vectors must share one dimension and the records for a
-    document must cover unit indices 0..n-1.
+    with a unit index >= 0 and finite JSON numbers as components; no (id,
+    unit index) may repeat, all vectors must share one dimension and the
+    records for a document must cover unit indices 0..n-1.
     """
 
     def __init__(self, path):
@@ -244,6 +245,8 @@ class FileVectorEmbedder(EmbeddingProvider):
                     raise ProviderError(f"{path}: line {lineno}: repeats {key[0]!r} unit {key[1]}")
                 if vec.ndim != 1 or vec.size == 0:
                     raise ProviderError(f"{path}: line {lineno}: vector must be non-empty 1-D")
+                if not all(type(v) in (int, float) for v in obj["vector"]):
+                    raise ProviderError(f"{path}: line {lineno}: vector components must be JSON numbers")
                 if not np.isfinite(vec).all():
                     raise ProviderError(f"{path}: line {lineno}: vector has a non-finite component")
                 if self.dimension == 0:
@@ -369,50 +372,80 @@ def _detrend_basis(s: int, m: int) -> np.ndarray:
     return basis
 
 
-def fluctuation(prof, scales, q_grid, m: int = 1) -> FluctuationMatrix:
-    """Compute F_q(s) over the scale and q grids.
+def fluctuation_many(profs, scales, q_grid, m: int = 1) -> list[FluctuationMatrix]:
+    """F_q(s) of each profile ``profs[i]`` over ``scales[i]`` and the q grid.
 
-    For each scale s the profile is split into floor(n/s) windows from the
+    For each scale s a profile is split into floor(n/s) windows from the
     start and the same number from the end. Each window is detrended by an
     order-m polynomial; the mean squared residual is the window's detrended
     variance F2. Aggregation over windows follows the generalized mean of
     order q/2, with the q = 0 case as exp(mean(0.5 * ln F2)). The scales
-    must be strictly increasing and lie in [16, n // 4].
+    must be strictly increasing and lie in [16, n // 4]. The windows of one
+    (scale, window count) are detrended in one stacked product with a slice
+    per profile shaped as for it alone, so each F_q(s) is bit for bit its own.
     """
-    prof = np.asarray(prof, dtype=float)
-    scales = np.asarray(scales, dtype=int)
+    profs = [np.asarray(p, dtype=float) for p in profs]
+    scales = [np.asarray(s, dtype=int) for s in scales]
     q_grid = np.asarray(q_grid, dtype=float)
-    n = prof.size
-    if scales.size == 0 or q_grid.size == 0:
+    if len(scales) != len(profs):
+        raise ValueError("need one scale grid per profile")
+    if q_grid.size == 0 or any(s.size == 0 for s in scales):
         raise ValueError("scales and q_grid must be non-empty")
-    if scales.min() < MIN_SCALE or scales.max() > n // 4:
-        raise ValueError(f"scales must satisfy {MIN_SCALE} <= s <= n//4 = {n // 4}")
-    if (scales[1:] <= scales[:-1]).any():
+    if not profs:
+        return []
+    # one entry per (profile, scale) pair, profile by profile
+    n_scales, sizes = np.array([s.size for s in scales]), np.array([p.size for p in profs])
+    prof_of = np.repeat(np.arange(len(profs)), n_scales)
+    s_all, n_all, head = np.concatenate(scales), sizes[prof_of], (np.cumsum(sizes) - sizes)[prof_of]
+    bad = (s_all < MIN_SCALE) | (s_all > n_all // 4)
+    if bad.any():
+        raise ValueError(f"scales must satisfy {MIN_SCALE} <= s <= n//4 = {n_all[bad.argmax()] // 4}")
+    if (np.diff(s_all) <= 0)[np.diff(prof_of) == 0].any():
         raise ValueError("scales must be strictly increasing")
     if m < 1:
         raise ValueError("detrend order must be >= 1")
 
-    f2 = []
-    for s in scales.tolist():
-        n_win = n // s
-        windows = np.concatenate([prof[: n_win * s], prof[n - n_win * s:]]).reshape(2 * n_win, s)
-        # each window's residual is what its projection onto the order-m
-        # polynomials leaves
+    # pair p's 2 * n_win F2 values start at at[p], one per window: its windows j < n_win
+    # from the profile's start, then the others up to its end; firsts: their first points in `flat`
+    n_win = n_all // s_all
+    at = np.cumsum(2 * n_win) - 2 * n_win
+    pair = np.repeat(np.arange(prof_of.size), 2 * n_win)
+    j = np.arange(pair.size) - at[pair]
+    firsts = j * s_all[pair] + np.where(j < n_win[pair], head[pair], (head + n_all - 2 * n_win * s_all)[pair])
+    # the windows by (scale, window count), each group's profile by profile
+    base = int(n_all.max()) + 1
+    keys = (s_all * base + n_win)[pair]
+    order = np.argsort(keys, kind="stable")
+    bounds = np.flatnonzero(np.diff(keys[order], prepend=-1, append=-1)).tolist()
+    f2 = np.empty(pair.size)
+    flat = np.concatenate(profs)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        s, w = divmod(int(keys[order[lo]]), base)
+        windows = flat[firsts[order[lo:hi], None] + np.arange(s)].reshape(-1, 2 * w, s)
+        # each window's residual is what its projection onto the order-m polynomials leaves
         basis = _detrend_basis(s, m)
-        resid = windows - (windows @ basis) @ basis.T
-        f2.append(np.einsum("ij,ij->i", resid, resid) / s)
-    f2 = np.concatenate(f2)
-    floored = bool((f2 < _F2_FLOOR).any())
-    f2 = np.maximum(f2, _F2_FLOOR)
-    # the windows of scale j are the counts[j] entries of f2 from starts[j]
-    counts = 2 * (n // scales)
-    starts = np.cumsum(counts) - counts
-    values = np.empty((q_grid.size, scales.size))
+        resid = (windows - (windows @ basis) @ basis.T).reshape(-1, s)
+        f2[order[lo:hi]] = np.einsum("ij,ij->i", resid, resid) / s
     zero = q_grid == 0.0
     q = q_grid[~zero, None]
-    values[~zero] = (np.add.reduceat(f2 ** (q / 2.0), starts, axis=1) / counts) ** (1.0 / q)
-    values[zero] = np.exp(0.5 * np.add.reduceat(np.log(f2), starts) / counts)
-    return FluctuationMatrix(values=values, q_grid=q_grid, scales=scales, floored=floored)
+    first = np.cumsum(n_scales) - n_scales
+    results = []
+    for f, a, grid in zip(np.split(f2, at[first[1:]]), first.tolist(), scales):
+        floored = bool((f < _F2_FLOOR).any())
+        f = np.maximum(f, _F2_FLOOR)
+        # the windows of scale j are the counts[j] entries of f from starts[j]
+        counts, starts = 2 * n_win[a:a + grid.size], at[a:a + grid.size] - at[a]
+        values = np.empty((q_grid.size, grid.size))
+        values[~zero] = (np.add.reduceat(f ** (q / 2.0), starts, axis=1) / counts) ** (1.0 / q)
+        if zero.any():
+            values[zero] = np.exp(0.5 * np.add.reduceat(np.log(f), starts) / counts)
+        results.append(FluctuationMatrix(values=values, q_grid=q_grid, scales=grid, floored=floored))
+    return results
+
+
+def fluctuation(prof, scales, q_grid, m: int = 1) -> FluctuationMatrix:
+    """:func:`fluctuation_many` of one profile."""
+    return fluctuation_many([prof], [scales], q_grid, m)[0]
 
 
 def spectrum(fluct: FluctuationMatrix) -> MultifractalSpectrum:

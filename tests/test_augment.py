@@ -504,11 +504,20 @@ class TestRunAugmentation:
         cfg = GenerationConfig(n_instances=4, top_fraction=0.5, seed=4, max_in_flight=1)
         runs, err = run_augmentation(raws, cfg, Failing())
         assert isinstance(err, PartialGeneration) and "half" in str(err)
-        assert calls == [[f"ok#gen{k}" for k in range(1, 5)], ["half#gen1", "half#gen2"]]
+        # the instances of both raw examples fit one batch
+        assert calls == [[f"ok#gen{k}" for k in range(1, 5)] + ["half#gen1", "half#gen2"]]
         assert [r.raw.id for r in runs] == ["ok", "half"]
         assert sorted(i.instance.id for i in runs[1].instances) == ["half#gen1", "half#gen2"]
         assert [i.rank for i in runs[1].instances] == [1, 2]
         assert runs[1].selected == runs[1].instances[:1]
+
+        assert [r.partial for r in runs] == [False, True]
+
+        # a failing raw example without instances is the only partial run
+        calls.clear()
+        runs, err = run_augmentation([raws[0], raws[2]], cfg, Failing())
+        assert calls == [[f"ok#gen{k}" for k in range(1, 5)]]
+        assert [(r.raw.id, r.partial) for r in runs] == [("ok", False), ("none", True)]
 
         calls.clear()
         runs, err = run_augmentation(raws[2:], cfg, Failing())

@@ -107,6 +107,10 @@ def ref_fluctuation(prof, scales, q_grid, m=1):
     return FluctuationMatrix(values=values, q_grid=q_grid, scales=scales, floored=floored)
 
 
+def ref_fluctuation_many(profs, scales, q_grid, m=1):
+    return [ref_fluctuation(prof, grid, q_grid, m=m) for prof, grid in zip(profs, scales)]
+
+
 def ref_spectrum(fluct):
     if fluct.scales.size < 3:
         raise NotFittable(f"mandelbrot: {fluct.scales.size} scales, need 3")
@@ -158,7 +162,7 @@ def use_reference_engines(monkeypatch):
     monkeypatch.setattr(laws, "fit_loglog_many", one_at_a_time(ref_fit_loglog))
     monkeypatch.setattr(laws, "fit_benford", ref_fit_benford)
     monkeypatch.setattr(laws, "fit_benford_many", one_at_a_time(ref_fit_benford))
-    monkeypatch.setattr(augment, "fluctuation", ref_fluctuation)
+    monkeypatch.setattr(augment, "fluctuation_many", ref_fluctuation_many)
     monkeypatch.setattr(augment, "spectrum", ref_spectrum)
 
 

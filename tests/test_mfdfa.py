@@ -21,6 +21,7 @@ from zgptda.mfdfa import (
     conformity_series,
     default_scales,
     fluctuation,
+    fluctuation_many,
     mandelbrot_conformity,
     profile,
     run_mfdfa,
@@ -160,8 +161,11 @@ class TestBuildSeries:
         ({"vector": [1.0, float("nan")]}, "line 2: vector has a non-finite component"),
         ({"vector": [float("inf"), 2.0]}, "line 2: vector has a non-finite component"),
         ({"id": 5}, "line 2: bad embedding record"),
+        ({"vector": ["1.5", 2.0]}, "line 2: vector components must be JSON numbers"),
+        ({"vector": [1.0, True]}, "line 2: vector components must be JSON numbers"),
+        ({"vector": [False, 2.0]}, "line 2: vector components must be JSON numbers"),
     ], ids=["float-index", "bool-index", "string-index", "negative-index", "repeated-key", "nan", "inf",
-            "integer-id"])
+            "integer-id", "string-component", "true-component", "false-component"])
     def test_file_vectors_bad_record(self, tmp_path, second, match):
         path = tmp_path / "vecs.jsonl"
         with open(path, "w") as fh:
@@ -287,6 +291,42 @@ class TestBasisMemo:
                 # each kept basis owns its data, so its cells are all it retains
                 assert all(b.base is None for b in mfdfa._bases.values())
                 assert (mfdfa._bases.get((s, m)) is basis) == (basis.size <= cap)
+
+
+class TestFluctuationMany:
+    """fluctuation_many against fluctuation of each profile alone and the
+    per-scale loop reference, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.lists(st.one_of(st.integers(64, 1500), st.sampled_from([100, 257])), min_size=1, max_size=12),
+           st.sampled_from([(Q_REF,), tuple(DEFAULT_Q_GRID)]))
+    def test_mixed_lengths_match_each_profile_alone(self, seed, lengths, q_grid):
+        rng = np.random.default_rng(seed)
+        # the third profile, when there is one, is flat, so its windows floor
+        profs = [np.zeros(n) if k == 2 else profile(ScalarSeries(rng.standard_t(2.0, n), "walk"))
+                 for k, n in enumerate(lengths)]
+        scales = [default_scales(n) for n in lengths]
+        for m in (1, 2, 3):
+            batch = fluctuation_many(profs, scales, q_grid, m=m)
+            assert len(batch) == len(profs)
+            for prof, grid, got in zip(profs, scales, batch):
+                for expected in (fluctuation(prof, grid, q_grid, m=m), qr_fluctuation(prof, grid, q_grid, m=m)):
+                    assert got.values.tobytes() == expected.values.tobytes(), m
+                    assert got.floored == expected.floored
+                    assert got.scales.tolist() == expected.scales.tolist()
+
+    def test_empty_batch(self):
+        assert fluctuation_many([], [], DEFAULT_Q_GRID) == []
+
+    def test_checks_name_the_failing_profile(self):
+        profs = [np.arange(256.0), np.arange(100.0)]
+        with pytest.raises(ValueError, match=r"n//4 = 25"):
+            fluctuation_many(profs, [[16, 64], [16, 32]], [2.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fluctuation_many(profs, [[16, 64], [20, 16]], [2.0])
+        with pytest.raises(ValueError, match="one scale grid per profile"):
+            fluctuation_many(profs, [[16]], [2.0])
 
 
 class TestSpectrum:

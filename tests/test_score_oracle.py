@@ -19,11 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zgptda.augment as augment
 from zgptda.augment import (
     GenerationConfig,
     MockTransport,
     ScoredInstance,
+    generate_instances,
     rank_instances,
+    run_augmentation,
     score_instance,
     score_instances,
     select_augmented,
@@ -271,3 +274,26 @@ def test_one_document_is_the_batch_of_one(text):
 
 def test_empty_batch():
     assert score_instances([]) == []
+
+
+def test_batches_across_raw_examples_match_per_raw_scoring(monkeypatch):
+    calls = []
+
+    def recording(docs, **kwargs):
+        calls.append({d.id.split("#")[0] for d in docs})
+        return score_instances(docs, **kwargs)
+
+    # a budget of a few mock paraphrases, so most batches hold two raw examples
+    monkeypatch.setattr(augment, "_SCORE_BATCH_CHARS", 2500)
+    monkeypatch.setattr(augment, "score_instances", recording)
+    raws = [Document(id=f"r{k}", text=f"Raw example {k}.") for k in range(5)]
+    cfg = GenerationConfig(n_instances=6, top_fraction=0.5, seed=2)
+    runs, err = run_augmentation(raws, cfg, MockTransport(seed=2))
+    assert err is None and len(calls) > len(raws)
+    assert any(len(raw_ids) > 1 for raw_ids in calls)
+    for raw, run in zip(raws, runs):
+        expected = rank_instances(score_instances(generate_instances(raw, cfg, MockTransport(seed=2))))
+        assert run.raw is raw and not run.partial
+        assert_same(run.instances, expected, exact=True)
+        assert ([i.instance.id for i in run.selected]
+                == [i.instance.id for i in select_augmented(expected, cfg.top_fraction)])
