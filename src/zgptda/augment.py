@@ -12,6 +12,7 @@ recorded generations; live completions are nondeterministic and priced.
 """
 
 import hashlib
+import io
 import json
 import logging
 import math
@@ -208,26 +209,28 @@ class ReplayTransport(Transport):
     ``{"request_hash": str, "completion": str}`` records.
 
     The k-th record carrying a given request hash serves slot k, so replay is
-    byte-stable no matter how calls are scheduled.
+    byte-stable no matter how calls are scheduled. The transport id names
+    the file by the SHA-256 of its bytes, so it replays the same from any path.
     """
 
     in_process = True
 
     def __init__(self, path):
-        self.transport_id = f"replay:{path}"
+        with open(path, "rb") as fh:
+            data = fh.read()
+        self.transport_id = f"replay:sha256:{hashlib.sha256(data).hexdigest()}"
         self._by_hash: dict[str, list[str]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                    h, completion = obj["request_hash"], obj["completion"]
-                    if not (isinstance(h, str) and isinstance(completion, str)):
-                        raise TypeError("request_hash and completion must be strings")
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise TransportError(f"{path}: line {lineno}: bad replay record") from exc
-                self._by_hash.setdefault(h, []).append(completion)
+        for lineno, line in enumerate(io.StringIO(data.decode("utf-8"), newline=None), start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+                h, completion = obj["request_hash"], obj["completion"]
+                if not (isinstance(h, str) and isinstance(completion, str)):
+                    raise TypeError("request_hash and completion must be strings")
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise TransportError(f"{path}: line {lineno}: bad replay record") from exc
+            self._by_hash.setdefault(h, []).append(completion)
 
     def complete(self, prompt: str, cfg: GenerationConfig, slot: int = 0) -> str:
         h = request_hash(request_payload(prompt, cfg))

@@ -144,16 +144,25 @@ def taylor_series(ts: TokenStream, segment_len: int = TAYLOR_SEGMENT_LEN) -> Emp
     if n_segments < 3:
         raise NotFittable(f"taylor: {n_segments} full segments, need 3")
     codes = ts.codes[: n_segments * segment_len]
-    # type x segment counts; a count is at most segment_len, so a narrow dtype holds it
-    table = np.zeros((int(codes.max()) + 1, n_segments), dtype=np.min_scalar_type(segment_len))
-    np.add.at(table, (codes, np.arange(codes.size) // segment_len), 1)
+    # the nonzero cells of the type x segment count table, in row-major order
+    cells, counts = np.unique(codes * n_segments + np.arange(codes.size) // segment_len,
+                              return_counts=True)
+    types = cells // n_segments
+    # one row per type present in 2 or more segments, in ascending code order
+    # (by first occurrence), filled into one buffer a block of rows at a time
+    kept = np.bincount(types) >= 2
+    mine = kept[types]
+    flat, counts = (np.cumsum(kept) - 1)[types[mine]] * n_segments + cells[mine] % n_segments, counts[mine]
+    total, size = int(np.count_nonzero(kept)) * n_segments, max(1, _BLOCK_CELLS // n_segments) * n_segments
+    edges = np.searchsorted(flat, np.arange(0, total + size, size)).tolist()
+    buffer = np.empty(min(size, total))
     by_mean: dict[float, list[float]] = {}
-    # rows in ascending code order, i.e. by first occurrence; each row's mean
-    # and std are reduced along the row, as for a single row
-    block_rows = max(1, _BLOCK_CELLS // n_segments)
-    for lo in range(0, len(table), block_rows):
-        block = table[lo : lo + block_rows]
-        block = block[np.count_nonzero(block, axis=1) >= 2].astype(float)
+    for k, lo in enumerate(range(0, total, size)):
+        block = buffer[: min(size, total - lo)]
+        block.fill(0.0)
+        block[flat[edges[k] : edges[k + 1]] - lo] = counts[edges[k] : edges[k + 1]]
+        # each row's mean and std are reduced along the row, as for a single row
+        block = block.reshape(-1, n_segments)
         for mean, std in zip(block.mean(axis=1).tolist(), block.std(axis=1).tolist()):
             by_mean.setdefault(mean, []).append(std)
     if not by_mean:

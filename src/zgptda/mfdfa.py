@@ -67,6 +67,10 @@ _F2_FLOOR = 1e-30
 # 200 texts of 1,200 words meets about 9,000 distinct grams
 _GRAM_CACHE_MAX = 2 ** 16
 
+# most characters of distinct units HashedTrigramEmbedder.unit_means embeds
+# in one pass, at about 100 bytes of temporaries each (6.5 MB)
+_EMBED_BLOCK_CHARS = 2 ** 16
+
 # most float64 cells the detrending bases kept by _detrend_basis hold (2 MB);
 # scoring 500 texts of ~186 words meets 61 window sizes, 5,618 cells
 _BASIS_CACHE_MAX = 2 ** 18
@@ -121,7 +125,7 @@ class HashedTrigramEmbedder(EmbeddingProvider):
     :meth:`embed` is its one-unit case. Only grams not seen before are
     hashed: the buckets of the others come from a cache of at most
     :data:`_GRAM_CACHE_MAX` grams, which starts again from the current
-    document's grams (as many as fit) when they would overflow it.
+    block's grams (as many as fit) when they would overflow it.
     """
 
     provider_id = "fallback-trigram-64"
@@ -154,7 +158,7 @@ class HashedTrigramEmbedder(EmbeddingProvider):
             self._gram_cache = (np.insert(keys, pos[new], codes[new]),
                                 np.insert(buckets, pos[new], out[new]))
         else:
-            # full: start again from this document's grams, as many as fit
+            # full: start again from this block's grams, as many as fit
             self._gram_cache = (codes[:_GRAM_CACHE_MAX].copy(), out[:_GRAM_CACHE_MAX].copy())
         return out
 
@@ -196,10 +200,18 @@ class HashedTrigramEmbedder(EmbeddingProvider):
 
     def unit_means(self, docs: list[Document], units_per_doc: list[list[str]]) -> list[np.ndarray]:
         """The component means of the units of every document; each distinct
-        unit of the batch is embedded once."""
+        unit of the batch is embedded once, in consecutive blocks of at most
+        :data:`_EMBED_BLOCK_CHARS` characters (a longer unit alone)."""
         index = {unit: i for i, unit in enumerate(dict.fromkeys(chain.from_iterable(units_per_doc)))}
+        distinct = list(index)
+        ends = np.cumsum(np.fromiter(map(len, distinct), np.int64, len(distinct)))
+        means, start = np.empty(len(distinct)), 0
         try:
-            means = self.unit_vectors(None, list(index)).mean(axis=1)
+            while start < len(distinct):
+                budget = ends[start] - len(distinct[start]) + _EMBED_BLOCK_CHARS
+                stop = max(start + 1, int(np.searchsorted(ends, budget, "right")))
+                means[start:stop] = self.unit_vectors(None, distinct[start:stop]).mean(axis=1)
+                start = stop
         except ProviderError:
             # raised again by the first document with the failing unit, which
             # names the unit by its index in that document

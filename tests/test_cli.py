@@ -235,6 +235,22 @@ class TestAugment:
         assert manifest["input_sha256"] == {
             str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (dataset, rec)}
 
+    def test_replay_from_two_paths_writes_identical_scores(self, dataset, tmp_path, monkeypatch):
+        rec = tmp_path / "gens.jsonl"
+        flags = ["--n", "3", "--seed", "2"]
+        assert run(["augment", dataset, *flags, "--out", tmp_path / "a.jsonl",
+                    "--scores", tmp_path / "s.json", "--record-file", rec]) == 0
+        (tmp_path / "elsewhere").mkdir()
+        copy = tmp_path / "elsewhere" / "copy.jsonl"
+        copy.write_bytes(rec.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        # an absolute path, a relative one, and a copy in another directory
+        for k, path in enumerate([rec, "gens.jsonl", copy]):
+            assert run(["augment", dataset, *flags, "--transport", "replay", "--replay-file", path,
+                        "--out", tmp_path / f"a{k}.jsonl", "--scores", tmp_path / f"s{k}.json"]) == 0
+        assert (tmp_path / "s0.json").read_bytes() == (tmp_path / "s1.json").read_bytes()
+        assert (tmp_path / "s0.json").read_bytes() == (tmp_path / "s2.json").read_bytes()
+
     def test_replay_miss_exit_2_without_outputs(self, dataset, tmp_path, capsys):
         empty = tmp_path / "gens.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -372,8 +388,9 @@ class TestAugment:
         assert run(["augment", dataset, "--transport", "replay", "--replay-file", rec, *flags,
                     "--out", tmp_path / "a2.jsonl", "--scores", scores, "--keep-partial"]) == 2
         runs = json.loads(scores.read_text())["runs"]
+        replay = f"replay:sha256:{hashlib.sha256(rec.read_bytes()).hexdigest()}"
         assert [(r["raw_id"], r["transport"], r["partial"]) for r in runs] == [
-            ("r0", f"replay:{rec}", False), ("r1", f"replay:{rec}", False), ("r2", f"replay:{rec}", True)]
+            ("r0", replay, False), ("r1", replay, False), ("r2", replay, True)]
         assert {r["config_sha256"] for r in runs} == {config_sha256}
 
     @pytest.mark.parametrize("flag, target", [

@@ -162,6 +162,50 @@ def test_unencodable_unit_in_a_batch_names_its_index_in_its_text():
         HashedTrigramEmbedder().unit_means([DOC] * 3, units_per_doc)
 
 
+# units longer than the smaller blocks below, drawn from one pool so that
+# units repeat within and across documents
+_LONG_UNITS = st.text(alphabet=_CHARS, min_size=6, max_size=80)
+pooled_docs = st.lists(st.one_of(unit_strategy, _LONG_UNITS), min_size=1, max_size=10).flatmap(
+    lambda pool: st.lists(st.lists(st.sampled_from(pool), max_size=12), max_size=5))
+
+
+def spy_blocks(embedder):
+    """Record the units of every `unit_vectors` call of `embedder`."""
+    calls, unit_vectors = [], embedder.unit_vectors
+    embedder.unit_vectors = lambda doc, units: calls.append(list(units)) or unit_vectors(doc, units)
+    return calls
+
+
+@pytest.mark.parametrize("block_chars", [1, 5, 64])
+@settings(max_examples=60, deadline=None)
+@given(pooled_docs)
+def test_unit_means_in_blocks_match_reference(block_chars, units_per_doc):
+    embedder = HashedTrigramEmbedder()
+    calls = spy_blocks(embedder)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mfdfa, "_EMBED_BLOCK_CHARS", block_chars)
+        got = embedder.unit_means([DOC] * len(units_per_doc), units_per_doc)
+    want = [ref_vectors(units).mean(axis=1) for units in units_per_doc]
+    assert [m.tobytes() for m in got] == [m.tobytes() for m in want]
+    # the distinct units in order, each block as long as the budget allows
+    # and a longer unit alone
+    assert sum(calls, []) == list(dict.fromkeys(u for units in units_per_doc for u in units))
+    for block, after in zip(calls, calls[1:]):
+        assert sum(map(len, block)) <= block_chars or len(block) == 1
+        assert sum(map(len, block)) + len(after[0]) > block_chars
+
+
+@pytest.mark.parametrize("block_chars", [1, 5, 64])
+def test_unencodable_unit_in_a_later_block_names_its_index_in_its_text(block_chars, monkeypatch):
+    monkeypatch.setattr(mfdfa, "_EMBED_BLOCK_CHARS", block_chars)
+    units_per_doc = [["ok", "fine"], ["a" * 70, "b", "c"], ["c", "d", "bad \ud800 unit", "e"]]
+    embedder = HashedTrigramEmbedder()
+    calls = spy_blocks(embedder)
+    with pytest.raises(ProviderError, match="unit 2$"):
+        embedder.unit_means([DOC] * 3, units_per_doc)
+    assert "bad \ud800 unit" not in calls[0]
+
+
 def test_gram_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(mfdfa, "_GRAM_CACHE_MAX", 12)
     embedder = HashedTrigramEmbedder()
