@@ -86,6 +86,8 @@ def _shared_path(args) -> str | None:
     outputs = [(flag, given[dest]) for flag, dest in _OUTPUTS if given.get(dest)]
     if given.get("out"):
         outputs.append(("the manifest of --out", f"{given['out']}.manifest.json"))
+    if given.get("series_csv"):
+        outputs.append(("--series-csv", given["series_csv"]))
     inputs = [(flag, given[dest]) for flag, dest in _INPUTS if given.get(dest)]
     written: dict[str, str] = {}
     for k, (flag, path) in enumerate(outputs + inputs):
@@ -396,6 +398,9 @@ def _parse_args(argv) -> argparse.Namespace:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read config {known.config}: {exc}", file=sys.stderr)
             raise SystemExit(EXIT_INPUT) from exc
+        if not isinstance(config_defaults, dict):
+            print(f"error: --config {known.config}: the top level must be a JSON object", file=sys.stderr)
+            raise SystemExit(EXIT_INPUT)
     return build_parser(config_defaults).parse_args(argv)
 
 
@@ -406,14 +411,21 @@ def main(argv=None) -> int:
         # argparse exits 2 on a usage error, the code reserved for transport
         # failures; --help and --version exit 0
         return EXIT_INPUT if exc.code else EXIT_OK
-    # checked before any work, so no paid completion is lost to a bad path;
-    # --series-csv is a directory the command creates
+    # checked before any work, so no paid completion is lost to a bad path
     for path in filter(None, (vars(args).get(dest) for _, dest in _OUTPUTS)):
         if not os.path.isdir(os.path.dirname(str(path)) or "."):
             print(f"error: the directory of {path} does not exist", file=sys.stderr)
             return EXIT_INPUT
         if os.path.isdir(path):
             print(f"error: {path} is a directory", file=sys.stderr)
+            return EXIT_INPUT
+    # --series-csv is a directory the command creates with its missing parents
+    if vars(args).get("series_csv"):
+        nearest = os.path.abspath(args.series_csv)
+        while not os.path.lexists(nearest):
+            nearest = os.path.dirname(nearest)
+        if not os.path.isdir(nearest):
+            print(f"error: --series-csv {args.series_csv}: {nearest} is not a directory", file=sys.stderr)
             return EXIT_INPUT
     shared = _shared_path(args)
     if shared:

@@ -57,6 +57,22 @@ class NotFittable(Exception):
     """The series has too few usable points for the law's regression."""
 
 
+def _check_series(x: np.ndarray, y: np.ndarray, run_starts: np.ndarray) -> None:
+    """Raise ValueError unless x and y are 1-D and the same length, x is
+    positive and strictly increasing within each run (a new run begins at
+    each index in `run_starts`) and y is nonnegative; NaN fails each check."""
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("x and y must be 1-D and the same length")
+    if not (x > 0).all():
+        raise ValueError("x values must be positive")
+    rising = x[1:] > x[:-1]
+    rising[run_starts - 1] = True
+    if not rising.all():
+        raise ValueError("x must be strictly increasing")
+    if not (y >= 0).all():
+        raise ValueError("y values must be nonnegative")
+
+
 @dataclass
 class EmpiricalSeries:
     """(x, y) observations for one law.
@@ -73,14 +89,7 @@ class EmpiricalSeries:
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
-        if self.x.ndim != 1 or self.x.shape != self.y.shape:
-            raise ValueError("x and y must be 1-D and the same length")
-        if (self.x <= 0).any():
-            raise ValueError("x values must be positive")
-        if (self.x[1:] <= self.x[:-1]).any():
-            raise ValueError("x must be strictly increasing")
-        if (self.y < 0).any():
-            raise ValueError("y values must be nonnegative")
+        _check_series(self.x, self.y, np.empty(0, np.intp))
 
     def __len__(self):
         return self.x.size
@@ -89,10 +98,7 @@ class EmpiricalSeries:
     def _many(cls, x, y, lengths, law: str) -> list["EmpiricalSeries"]:
         """The series of consecutive runs of `lengths` points of x and y, checked once for all."""
         starts = np.cumsum(lengths) - lengths
-        rising = x[1:] > x[:-1]
-        rising[starts[(starts > 0) & (starts < x.size)] - 1] = True
-        if x.shape != y.shape or (x <= 0).any() or not rising.all() or (y < 0).any():
-            raise ValueError(f"{law}: a built series breaks the EmpiricalSeries checks")
+        _check_series(x, y, starts[(starts > 0) & (starts < x.size)])
         made = []
         for a, n in zip(starts.tolist(), lengths.tolist()):
             made.append(series := object.__new__(cls))

@@ -19,7 +19,6 @@ files (JSONL of {"id", "unit_index", "vector"}).
 
 import hashlib
 import json
-import threading
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -70,12 +69,6 @@ _GRAM_CACHE_MAX = 2 ** 16
 # most characters of distinct units HashedTrigramEmbedder.unit_means embeds
 # in one pass, at about 100 bytes of temporaries each (6.5 MB)
 _EMBED_BLOCK_CHARS = 2 ** 16
-
-# most float64 cells the detrending bases kept by _detrend_basis hold (2 MB);
-# scoring 500 texts of ~186 words meets 61 window sizes, 5,618 cells
-_BASIS_CACHE_MAX = 2 ** 18
-_bases: dict[tuple[int, int], np.ndarray] = {}
-_bases_lock = threading.Lock()
 
 
 class ProviderError(Exception):
@@ -364,26 +357,6 @@ def default_scales(n: int) -> np.ndarray:
     return np.unique(np.round(np.geomspace(MIN_SCALE, n // 4, N_SCALES)).astype(int))
 
 
-def _detrend_basis(s: int, m: int) -> np.ndarray:
-    """Orthonormal basis (s x (m + 1), read-only) of the order-m polynomials
-    on a window of s points.
-
-    Each basis is built once per process and kept while the kept bases hold
-    at most :data:`_BASIS_CACHE_MAX` cells; when one more would overflow
-    them, they start again from it.
-    """
-    basis = _bases.get((s, m))
-    if basis is None:
-        basis, _ = np.linalg.qr(np.vander(np.arange(s, dtype=float), m + 1))
-        basis.flags.writeable = False
-        if basis.size <= _BASIS_CACHE_MAX:
-            with _bases_lock:
-                if sum(b.size for b in _bases.values()) + basis.size > _BASIS_CACHE_MAX:
-                    _bases.clear()
-                _bases[(s, m)] = basis
-    return basis
-
-
 def fluctuation_many(profs, scales, q_grid, m: int = 1) -> list[FluctuationMatrix]:
     """F_q(s) of each profile ``profs[i]`` over ``scales[i]`` and the q grid.
 
@@ -431,11 +404,14 @@ def fluctuation_many(profs, scales, q_grid, m: int = 1) -> list[FluctuationMatri
     bounds = np.flatnonzero(np.diff(keys[order], prepend=-1, append=-1)).tolist()
     f2 = np.empty(pair.size)
     flat = np.concatenate(profs)
+    basis = np.empty((0, m + 1))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         s, w = divmod(int(keys[order[lo]]), base)
         windows = flat[firsts[order[lo:hi], None] + np.arange(s)].reshape(-1, 2 * w, s)
-        # each window's residual is what its projection onto the order-m polynomials leaves
-        basis = _detrend_basis(s, m)
+        # each window's residual is what its projection onto the orthonormal
+        # order-m polynomials leaves; a scale's groups are adjacent in key order
+        if basis.shape[0] != s:
+            basis, _ = np.linalg.qr(np.vander(np.arange(s, dtype=float), m + 1))
         resid = (windows - (windows @ basis) @ basis.T).reshape(-1, s)
         f2[order[lo:hi]] = np.einsum("ij,ij->i", resid, resid) / s
     zero = q_grid == 0.0

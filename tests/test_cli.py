@@ -94,6 +94,21 @@ class TestAnalyze:
         header = (out_dir / "zipf.csv").read_text().splitlines()[0]
         assert header == "x,y,fitted"
 
+    @pytest.mark.parametrize("target, message", [
+        ("file.txt", "file.txt is not a directory"),
+        ("file.txt/csv", "file.txt is not a directory"),
+        ("r.json", "--out and --series-csv name one file"),
+        ("r.json.manifest.json", "the manifest of --out and --series-csv name one file"),
+    ], ids=["existing-file", "under-a-file", "the-out-file", "the-out-manifest"])
+    def test_series_csv_not_a_directory_rejected_before_analysis(self, dataset, tmp_path, target,
+                                                                  message, capsys):
+        (tmp_path / "file.txt").write_text("kept\n", encoding="utf-8")
+        out = tmp_path / "r.json"
+        assert run(["analyze", dataset, "--out", out, "--series-csv", tmp_path / target]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert (tmp_path / "file.txt").read_text(encoding="utf-8") == "kept\n"
+
 
 def tree_sha256(*paths) -> str:
     """One digest over the bytes of every file under ``paths``, by sorted name."""
@@ -462,6 +477,14 @@ class TestUsage:
     def test_unreadable_config_exit_1(self, tmp_path, capsys):
         assert run(["--config", tmp_path / "nope.json", "analyze", "x.jsonl"]) == 1
         assert "cannot read config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ['["n"]', '"n"', "5", "null"])
+    def test_config_not_an_object_exit_1(self, dataset, tmp_path, top, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(top, encoding="utf-8")
+        assert run(["--config", cfg, "analyze", dataset, "--out", out]) == 1
+        assert f"error: --config {cfg}: the top level must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("order", ["0", "4", "-1"])
     def test_detrend_order_checked_before_loading(self, tmp_path, order, capsys):

@@ -207,6 +207,9 @@ class TestEmpiricalSeries:
         # repeated infinities: the difference inf - inf is NaN, the order test is not
         ([1.0, math.inf, math.inf], [1.0, 1.0, 1.0], "x must be strictly increasing"),
         ([1.0, 2.0], [1.0, -2.0], "y values must be nonnegative"),
+        # NaN compares false both ways, so each check must ask for the good case
+        ([1.0, math.nan, 3.0], [1.0, 2.0, 3.0], "x values must be positive"),
+        ([1.0, 2.0, 3.0], [1.0, math.nan, 3.0], "y values must be nonnegative"),
     ])
     def test_messages(self, x, y, message):
         with pytest.raises(ValueError) as info:

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import zgptda.mfdfa as mfdfa
 from zgptda.corpus import Document
 from zgptda.fitkit import NotFittable
 from zgptda.mfdfa import (
@@ -248,51 +247,6 @@ def qr_fluctuation(prof, scales, q_grid, m=1):
     return FluctuationMatrix(values=values, q_grid=q_grid, scales=scales, floored=floored)
 
 
-def kept_cells():
-    return sum(b.size for b in mfdfa._bases.values())
-
-
-class TestBasisMemo:
-    """fluctuation with the per-process basis memo against the per-call QR."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(64, 2000), st.booleans(), st.data())
-    def test_bit_identical_to_per_call_qr(self, seed, n, heavy, data):
-        rng = np.random.default_rng(seed)
-        steps = rng.standard_t(2.0, n) if heavy else rng.standard_normal(n)
-        prof = profile(ScalarSeries(steps, "walk"))
-        scales = data.draw(st.one_of(
-            st.just(default_scales(n)),
-            st.lists(st.integers(16, n // 4), min_size=1, max_size=12, unique=True).map(sorted),
-        ))
-        expected = {m: qr_fluctuation(prof, scales, DEFAULT_Q_GRID, m=m) for m in (1, 2, 3)}
-        mfdfa._bases.clear()
-        for memo in ("cold", "warm"):
-            for m in (1, 2, 3):
-                got = fluctuation(prof, scales, DEFAULT_Q_GRID, m=m)
-                assert got.values.tobytes() == expected[m].values.tobytes(), (memo, m)
-                assert got.floored == expected[m].floored
-                assert got.scales.tolist() == expected[m].scales.tolist()
-
-    def test_basis_is_read_only(self):
-        for s, m in [(20, 1), (mfdfa._BASIS_CACHE_MAX, 1)]:  # kept, and too large to keep
-            basis = mfdfa._detrend_basis(s, m)
-            assert not basis.flags.writeable
-            with pytest.raises(ValueError):
-                basis[0, 0] = 1.0
-
-    def test_memo_never_retains_more_than_the_cap(self, monkeypatch):
-        monkeypatch.setattr(mfdfa, "_bases", {})
-        cap = mfdfa._BASIS_CACHE_MAX
-        for s in range(10_000, 140_000, 9_000):
-            for m in (1, 2, 3):
-                basis = mfdfa._detrend_basis(s, m)
-                assert kept_cells() <= cap
-                # each kept basis owns its data, so its cells are all it retains
-                assert all(b.base is None for b in mfdfa._bases.values())
-                assert (mfdfa._bases.get((s, m)) is basis) == (basis.size <= cap)
-
-
 class TestFluctuationMany:
     """fluctuation_many against fluctuation of each profile alone and the
     per-scale loop reference, bit for bit."""
@@ -315,6 +269,23 @@ class TestFluctuationMany:
                     assert got.values.tobytes() == expected.values.tobytes(), m
                     assert got.floored == expected.floored
                     assert got.scales.tolist() == expected.scales.tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(64, 2000), st.booleans(), st.data())
+    def test_one_profile_matches_per_call_qr(self, seed, n, heavy, data):
+        rng = np.random.default_rng(seed)
+        steps = rng.standard_t(2.0, n) if heavy else rng.standard_normal(n)
+        prof = profile(ScalarSeries(steps, "walk"))
+        scales = data.draw(st.one_of(
+            st.just(default_scales(n)),
+            st.lists(st.integers(16, n // 4), min_size=1, max_size=12, unique=True).map(sorted),
+        ))
+        for m in (1, 2, 3):
+            got = fluctuation(prof, scales, DEFAULT_Q_GRID, m=m)
+            expected = qr_fluctuation(prof, scales, DEFAULT_Q_GRID, m=m)
+            assert got.values.tobytes() == expected.values.tobytes(), m
+            assert got.floored == expected.floored
+            assert got.scales.tolist() == expected.scales.tolist()
 
     def test_empty_batch(self):
         assert fluctuation_many([], [], DEFAULT_Q_GRID) == []
