@@ -637,7 +637,7 @@ def evaluate_corpus(
     return CorpusEvaluation(
         name=name,
         n_documents=len(docs),
-        word_count=len(ts.words),
+        word_count=ts.codes.size,
         sentence_count=len(ts.sentences),
         char_count=len(ts.chars),
         reports=reports,

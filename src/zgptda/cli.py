@@ -368,6 +368,13 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     subparsers.extend([p_analyze, p_compare, p_augment])
 
     if config_defaults:
+        # a key may name any subcommand's flag, so one file serves every command
+        flags = {a.dest for sp in subparsers for a in sp._actions if a.option_strings and a.dest != "help"}
+        unknown = sorted(set(config_defaults) - flags)
+        if unknown:
+            print(f"error: --config: {', '.join(map(repr, unknown))} names no flag"
+                  " (keys are flag names with dashes as underscores)", file=sys.stderr)
+            raise SystemExit(EXIT_INPUT)
         # defaults must land on the subparsers: argparse resolves subcommand
         # arguments against the subparser's own defaults, without checking
         # them, so each value is converted and checked as its flag's would be
@@ -375,6 +382,9 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
             for action in (a for a in sp._actions if a.dest in config_defaults):
                 value = config_defaults[action.dest]
                 try:
+                    # an on/off flag takes JSON true or false, not a truthy string
+                    if action.nargs == 0 and not isinstance(value, bool):
+                        raise argparse.ArgumentError(action, f"expected true or false, got {value!r}")
                     if action.type is not None:
                         value = sp._get_value(action, str(value))
                     sp._check_value(action, value)

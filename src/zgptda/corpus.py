@@ -13,7 +13,6 @@ Tokenization rules (fixed so every downstream statistic is reproducible):
 import json
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -49,20 +48,22 @@ class Document:
 class TokenStream:
     """Word, sentence-length, and character sequences derived from one text.
 
-    ``sentences`` holds the word count of each sentence in document order,
-    so ``sum(sentences) == len(words)``; ``sentence_texts`` holds their texts.
+    ``codes`` holds one int64 code per word, indexing ``types``, the folded
+    word types in order of first occurrence; ``sentences`` holds the word
+    count of each sentence in document order, so ``sum(sentences) ==
+    codes.size``; ``sentence_texts`` holds their texts.
     """
 
-    words: list[str] = field(default_factory=list)
+    codes: np.ndarray = field(default_factory=lambda: np.empty(0, np.int64))
+    types: list[str] = field(default_factory=list)
     sentences: list[int] = field(default_factory=list)
     chars: str = ""
     sentence_texts: list[str] = field(default_factory=list)
 
-    @cached_property
-    def codes(self) -> np.ndarray:
-        """One int64 code per word, word types numbered 0, 1, ... by first occurrence."""
-        index = {w: i for i, w in enumerate(dict.fromkeys(self.words))}
-        return np.fromiter(map(index.__getitem__, self.words), np.int64, len(self.words))
+    @property
+    def words(self) -> list[str]:
+        """The folded word of each occurrence, built anew on each access."""
+        return list(map(self.types.__getitem__, self.codes.tolist()))
 
 
 def tokenize(doc: Document) -> TokenStream:
@@ -79,10 +80,12 @@ def tokenize(doc: Document) -> TokenStream:
     # the word pattern also matches non-decimal numerals such as ² and ½
     if not chars.isalpha():
         chars = "".join(c for c in doc.text if c.isalpha())
-    # one folded string per distinct word, shared by all its occurrences
-    folded = {w: w.casefold() for w in dict.fromkeys(found)}
-    words = list(map(folded.__getitem__, found))
-    return TokenStream(words=words, sentences=sentences, chars=chars, sentence_texts=sentence_texts)
+    # each distinct match is folded once and its type numbered by first occurrence
+    index: dict[str, int] = {}
+    code = {w: index.setdefault(w.casefold(), len(index)) for w in dict.fromkeys(found)}
+    codes = np.fromiter(map(code.__getitem__, found), np.int64, len(found))
+    return TokenStream(codes=codes, types=list(index), sentences=sentences, chars=chars,
+                       sentence_texts=sentence_texts)
 
 
 def load_jsonl(path) -> list[Document]:

@@ -84,7 +84,7 @@ def _word_codes(tss):
     first word positions, type counts and first type codes."""
     local = [ts.codes for ts in tss]
     n = np.fromiter(map(len, local), np.int64, len(local))
-    n_types = np.fromiter((c.max() + 1 if c.size else 0 for c in local), np.int64, len(local))
+    n_types = np.fromiter((len(ts.types) for ts in tss), np.int64, len(local))
     offsets = np.cumsum(n_types) - n_types
     codes = np.concatenate([np.empty(0, np.int64), *(c + o for c, o in zip(local, offsets.tolist()))])
     return codes, n, np.cumsum(n) - n, n_types, offsets
@@ -140,7 +140,7 @@ def taylor_series(ts: TokenStream, segment_len: int = TAYLOR_SEGMENT_LEN) -> Emp
     """
     if segment_len < 1:
         raise ValueError("segment_len must be >= 1")
-    n_segments = len(ts.words) // segment_len
+    n_segments = ts.codes.size // segment_len
     if n_segments < 3:
         raise NotFittable(f"taylor: {n_segments} full segments, need 3")
     codes = ts.codes[: n_segments * segment_len]
@@ -310,8 +310,10 @@ def menzerath_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | 
     # (text, sentence length) of each sentence, and of each word
     keys = np.repeat(np.arange(len(tss)) * width, n_sent) + sentences
     word_keys = np.repeat(keys, sentences)
-    words = [ts.words for ts in tss if ts.sentences]
-    word_len = np.fromiter(map(len, chain.from_iterable(words)), np.int64, sum(map(len, words)))
+    # each word's length in letters is its folded type's
+    lengths = [np.fromiter(map(len, ts.types), np.int64, len(ts.types))[ts.codes]
+               for ts in tss if ts.sentences]
+    word_len = np.concatenate([np.empty(0, np.int64), *lengths])
     xs = np.unique(keys)
     ys = np.bincount(word_keys, weights=word_len)[xs] / np.bincount(word_keys)[xs]
     n_x = np.bincount(xs // width, minlength=len(tss))

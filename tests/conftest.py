@@ -11,9 +11,10 @@ import bisect
 import math
 import random
 
+import numpy as np
 import pytest
 
-from zgptda.corpus import Document
+from zgptda.corpus import Document, TokenStream
 
 _LETTER_WEIGHTS = {
     "e": 12.7, "t": 9.1, "a": 8.2, "o": 7.5, "i": 7.0, "n": 6.7, "s": 6.3,
@@ -46,6 +47,13 @@ def _build_vocab(rng: random.Random, size: int) -> list[str]:
             seen.add(word)
             vocab.append(word)
     return vocab
+
+
+def token_stream(words=(), sentences=(), chars=""):
+    """The TokenStream of `words`, their types numbered 0, 1, ... by first occurrence."""
+    index: dict[str, int] = {}
+    codes = np.fromiter((index.setdefault(w, len(index)) for w in words), np.int64)
+    return TokenStream(codes=codes, types=list(index), sentences=list(sentences), chars=chars)
 
 
 def synth_book(seed: int, n_sentences: int = 2500, vocab_size: int = 3000,

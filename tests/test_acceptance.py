@@ -22,7 +22,7 @@ from zgptda.augment import (
     emit_dataset,
     run_augmentation,
 )
-from zgptda.corpus import Document, TokenStream
+from zgptda.corpus import Document
 from zgptda.fitkit import ConformityVerdict, EmpiricalSeries, FitMetrics, fit_benford, fit_loglog, fit_metrics
 from zgptda.laws import zipf_series
 from zgptda.mfdfa import ScalarSeries, default_scales, fluctuation, mandelbrot_conformity, profile, run_mfdfa
@@ -36,7 +36,7 @@ from zgptda.zscore import (
     law_vector,
 )
 
-from tests.conftest import synth_book
+from tests.conftest import synth_book, token_stream
 
 
 def verdict(criterion: int, ok: bool, detail: str):
@@ -110,7 +110,7 @@ def test_criterion_1_power_law_recovery():
     tokens = np.repeat(np.arange(n_types), counts)
     rng.shuffle(tokens)
     words = [f"w{i}" for i in tokens]
-    fit = fit_loglog(zipf_series(TokenStream(words=words, sentences=[len(words)], chars="")))
+    fit = fit_loglog(zipf_series(token_stream(words, sentences=[len(words)])))
     elapsed = time.perf_counter() - t0
     ok = (
         abs(fit.exponent - (-alpha)) <= 0.05

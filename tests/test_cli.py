@@ -5,7 +5,7 @@ import os
 import pytest
 
 from zgptda.augment import GenerationConfig, MockTransport
-from zgptda.cli import main
+from zgptda.cli import _parse_args, main
 from zgptda.corpus import Document, load_jsonl, tokenize
 from tests.conftest import make_raw_dataset
 
@@ -541,3 +541,27 @@ class TestConfigFile:
         assert "--config" in err and flag in err
         assert "nope.jsonl" not in err and "requires --endpoint" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_on_off_flag_takes_only_true_or_false(self, value, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"keep_partial": value}), encoding="utf-8")
+        assert run(["--config", cfg, "augment", tmp_path / "nope.jsonl", "--out", tmp_path / "a.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert "--config" in err and "--keep-partial" in err and "nope.jsonl" not in err
+
+    @pytest.mark.parametrize("key", ["nonsense", "segment-len", "input", "help", "config"])
+    def test_key_naming_no_flag_rejected(self, key, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: 50}), encoding="utf-8")
+        assert run(["--config", cfg, "analyze", tmp_path / "nope.jsonl", "--out", tmp_path / "r.json"]) == 1
+        err = capsys.readouterr().err
+        assert "--config" in err and repr(key) in err and "nope.jsonl" not in err
+
+    def test_keys_of_other_subcommands_allowed(self, tmp_path):
+        # one file serves every command: augment's flags parse for analyze
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"keep_partial": True, "n": 3, "segment_len": 50}), encoding="utf-8")
+        args = _parse_args(["--config", str(cfg), "analyze", "x.jsonl"])
+        assert args.segment_len == 50 and not hasattr(args, "n")
+        assert _parse_args(["--config", str(cfg), "augment", "x.jsonl"]).keep_partial is True

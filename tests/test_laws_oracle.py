@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgptda.corpus import Document, TokenStream, tokenize
+from tests.conftest import token_stream
+from zgptda.corpus import Document, tokenize
 from zgptda.fitkit import EmpiricalSeries, NotFittable
 from zgptda.laws import (
     ebeling_series,
@@ -53,11 +54,12 @@ def ref_heaps(ts):
 
 
 def ref_taylor(ts, segment_len):
-    n_segments = len(ts.words) // segment_len
+    words = ts.words
+    n_segments = len(words) // segment_len
     if n_segments < 3:
         raise NotFittable(f"taylor: {n_segments} full segments, need 3")
     per_segment = [
-        Counter(ts.words[i * segment_len : (i + 1) * segment_len]) for i in range(n_segments)
+        Counter(words[i * segment_len : (i + 1) * segment_len]) for i in range(n_segments)
     ]
     presence = Counter()
     for seg in per_segment:
@@ -76,14 +78,15 @@ def ref_taylor(ts, segment_len):
 
 
 def ref_hilberg(ts, max_block):
-    n = len(ts.words)
+    words = ts.words
+    n = len(words)
     if n == 0:
         raise NotFittable("hilberg: no word tokens")
     xs, ys = [], []
     for mu in range(1, max_block + 1):
         if n - mu + 1 < 1:
             break
-        grams = Counter(tuple(ts.words[i : i + mu]) for i in range(n - mu + 1))
+        grams = Counter(tuple(words[i : i + mu]) for i in range(n - mu + 1))
         probs = np.array(list(grams.values()), dtype=float) / (n - mu + 1)
         xs.append(mu)
         ys.append(float(-np.sum(probs * np.log(probs))))
@@ -135,10 +138,11 @@ def exact_ebeling(ts, min_windows=8):
 def ref_menzerath(ts):
     if not ts.sentences:
         raise NotFittable("menzerath: no sentences")
+    words = ts.words
     lengths = {}
     offset = 0
     for n_words in ts.sentences:
-        lengths.setdefault(n_words, []).extend(len(w) for w in ts.words[offset : offset + n_words])
+        lengths.setdefault(n_words, []).extend(len(w) for w in words[offset : offset + n_words])
         offset += n_words
     xs = np.array(sorted(lengths), dtype=float)
     ys = np.array([np.mean(lengths[int(x)]) for x in xs], dtype=float)
@@ -210,7 +214,7 @@ def test_raw_character_texts_match_reference(text, segment_len):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["ab", "aéΣσ", "aΣ𝐀𝐁"]).flatmap(lambda a: st.text(alphabet=a, max_size=300)))
 def test_wide_alphabet_ebeling_matches_reference(chars):
-    ts = TokenStream(chars=chars)
+    ts = token_stream(chars=chars)
     assert outcome(ebeling_series, ts) == outcome(exact_ebeling, ts)
     assert_close_to_float_ebeling(ts)
 
