@@ -8,7 +8,16 @@ cannot see, and requires the law's series to stay the same bit for bit:
   token-level series stay the same;
 * reversing the order of the sentences keeps every word count, every
   sentence length and the words of each sentence, so ``zipf``, ``benford``
-  and ``menzerath`` stay the same.
+  and ``menzerath`` stay the same;
+* repeating the text k times, its copies joined as sentences, multiplies
+  every sentence-length count and every summed word length by k, so the
+  ``benford`` frequencies and the ``menzerath`` means stay the same;
+* reversing the character stream, cut to a power-of-two length so that every
+  window length u divides it, maps each window of u characters to a window,
+  so the ``ebeling`` series stays the same;
+* reversing the word order maps each block of mu words to its reverse, one
+  to one, so every ``hilberg`` block count and entropy stays the same, the
+  entropies within 1e-12 relative, as they are summed in another order.
 
 The texts are four mock completions of about 180 words, on which taylor is
 not fittable, and four synthetic books of a few thousand words, on which
@@ -20,10 +29,10 @@ import string
 
 import pytest
 
-from tests.conftest import synth_book
+from tests.conftest import synth_book, token_stream
 from zgptda.augment import GenerationConfig, MockTransport
 from zgptda.corpus import Document, tokenize
-from zgptda.laws import build_all_many
+from zgptda.laws import build_all_many, ebeling_series, hilberg_series
 
 TEXTS = [MockTransport(seed).complete("prompt", GenerationConfig(), slot) for seed, slot in
          ((0, 0), (0, 1), (7, 3), (11, 9))] + [synth_book(seed, n_sentences=300) for seed in (1, 2, 3, 4)]
@@ -60,6 +69,32 @@ def test_sentence_reversal_keeps_order_free_series(text):
         tokenize(Document(id="t", text=text)).sentences
     laws = ("zipf", "benford", "menzerath")
     assert series(reversed_text, laws) == series(text, laws)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("text", TEXTS, ids=range(len(TEXTS)))
+def test_repetition_keeps_benford_and_menzerath(text, k):
+    repeated = ". ".join([text] * k)
+    assert tokenize(Document(id="r", text=repeated)).sentences == \
+        tokenize(Document(id="t", text=text)).sentences * k
+    laws = ("benford", "menzerath")
+    assert series(repeated, laws) == series(text, laws)
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=range(len(TEXTS)))
+def test_character_reversal_keeps_ebeling(text):
+    chars = tokenize(Document(id="t", text=text)).chars
+    chars = chars[: 1 << (len(chars).bit_length() - 1)]
+    forward, backward = ebeling_series(token_stream(chars=chars)), ebeling_series(token_stream(chars=chars[::-1]))
+    assert (backward.x.tobytes(), backward.y.tobytes()) == (forward.x.tobytes(), forward.y.tobytes())
+
+
+@pytest.mark.parametrize("text", TEXTS, ids=range(len(TEXTS)))
+def test_word_order_reversal_keeps_hilberg(text):
+    ts = tokenize(Document(id="t", text=text))
+    forward, backward = hilberg_series(ts), hilberg_series(token_stream(ts.words[::-1]))
+    assert backward.x.tobytes() == forward.x.tobytes()
+    assert backward.y.tolist() == pytest.approx(forward.y.tolist(), rel=1e-12, abs=0)
 
 
 def test_books_fit_every_law():
