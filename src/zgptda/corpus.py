@@ -12,8 +12,10 @@ Tokenization rules (fixed so every downstream statistic is reproducible):
 
 import json
 import re
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -29,6 +31,8 @@ __all__ = [
 # alphabetic-only: \w minus digits and underscore
 _WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 _SENT_RE = re.compile(r"[.!?]+")
+# characters of sentence segments whose words are found and coded at a time
+_RUN_CHARS = 2 ** 16
 
 
 class LoadError(Exception):
@@ -72,20 +76,31 @@ def tokenize(doc: Document) -> TokenStream:
     Pure function of the input bytes; empty text yields empty streams.
     """
     segments = _SENT_RE.split(doc.text)
-    per_segment = [_WORD_RE.findall(seg) for seg in segments]
-    sentence_texts = [seg for seg, seg_words in zip(segments, per_segment) if seg_words]
-    sentences = [len(seg_words) for seg_words in per_segment if seg_words]
-    found = list(chain.from_iterable(per_segment))
-    chars = "".join(found)
+    ends = list(accumulate(map(len, segments)))
+    sentences, sentence_texts, runs = [], [], []
+    # each distinct match of a run is folded once and its type numbered by
+    # first occurrence in the text
+    index: dict[str, int] = {}
+    codes = array("q")
+    lo = 0
+    while lo < len(segments):
+        # the segments within _RUN_CHARS characters of this one, or it alone
+        hi = max(bisect_right(ends, ends[lo] - len(segments[lo]) + _RUN_CHARS), lo + 1)
+        run = segments[lo:hi]
+        per_segment = list(map(_WORD_RE.findall, run))
+        sentence_texts += compress(run, per_segment)
+        sentences += filter(None, map(len, per_segment))
+        found = list(chain.from_iterable(per_segment))
+        runs.append("".join(found))
+        code = {w: index.setdefault(w.casefold(), len(index)) for w in dict.fromkeys(found)}
+        codes.fromlist(list(map(code.__getitem__, found)))
+        lo = hi
+    chars = "".join(runs)
     # the word pattern also matches non-decimal numerals such as ² and ½
     if not chars.isalpha():
         chars = "".join(c for c in doc.text if c.isalpha())
-    # each distinct match is folded once and its type numbered by first occurrence
-    index: dict[str, int] = {}
-    code = {w: index.setdefault(w.casefold(), len(index)) for w in dict.fromkeys(found)}
-    codes = np.fromiter(map(code.__getitem__, found), np.int64, len(found))
-    return TokenStream(codes=codes, types=list(index), sentences=sentences, chars=chars,
-                       sentence_texts=sentence_texts)
+    return TokenStream(codes=np.frombuffer(codes, np.int64), types=list(index), sentences=sentences,
+                       chars=chars, sentence_texts=sentence_texts)
 
 
 def load_jsonl(path) -> list[Document]:

@@ -55,6 +55,8 @@ HILBERG_MAX_BLOCK = 6
 EBELING_MIN_WINDOWS = 8
 # cells of the taylor count table held as float64 at a time
 _BLOCK_CELLS = 2 ** 18
+# positions of ebeling's position order whose runs are counted at a time
+_EBELING_SLICE = 2 ** 16
 
 
 @dataclass
@@ -193,17 +195,20 @@ def hilberg_series_many(
             n_blocks = codes.size - mu + 1
             # block code = prefix code * n_types + last word code; one sort
             # groups the blocks, each is re-coded by its first position (so the
-            # next keys fit int64), and bincount counts them by first occurrence
-            keys = blocks[:n_blocks] * int(n_types.sum()) + codes[mu - 1 :]
+            # next keys fit int64), and bincount counts them by first occurrence;
+            # each temporary is freed as it dies
+            keys = blocks[:n_blocks] * int(n_types.sum())
+            keys += codes[mu - 1 :]
+            del blocks
             perm = np.argsort(keys)
-            sorted_keys = keys[perm]
+            keys = keys[perm]
             # the bounds of the groups of equal keys: 0, each change, n_blocks
-            edge = np.ones(n_blocks + 1, bool)
-            edge[1:n_blocks] = sorted_keys[1:] != sorted_keys[:-1]
-            bounds = np.flatnonzero(edge)
+            bounds = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1], [True]]))
+            del keys
             group_starts = bounds[:-1]
-            blocks = np.empty_like(keys)
+            blocks = np.empty(n_blocks, np.int64)
             blocks[perm] = np.repeat(np.minimum.reduceat(perm, group_starts), bounds[1:] - group_starts)
+            del perm
         counts = np.bincount(blocks)
         # the blocks that start in the last mu - 1 words of a text run past it
         tail = np.minimum(n, mu - 1)
@@ -215,6 +220,7 @@ def hilberg_series_many(
         total, spread = _segments(distinct)
         probs = counts[present] / spread(n[alive] - mu + 1)
         entropy[alive, mu - 1] = -total(probs * np.log(probs))
+        del counts, present, probs
     m = np.minimum(n, max_block)
     x = np.arange(1.0, m.sum() + 1) - np.repeat(np.cumsum(m) - m, m)
     return _cut("hilberg", x, entropy[np.arange(max_block) < m[:, None]], m, m > 0, "hilberg: no word tokens")
@@ -234,41 +240,54 @@ def ebeling_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | No
     n_chars = np.fromiter((len(ts.chars) for ts in tss), np.int64, len(tss))
     fits = n_chars // EBELING_MIN_WINDOWS >= 2
     c = n_chars[fits]
-    chars = "".join(ts.chars for ts, ok in zip(tss, fits) if ok)
-    points = np.frombuffer(chars.encode("utf-32-le"), "<u4")
+    points = np.frombuffer("".join(ts.chars for ts, ok in zip(tss, fits) if ok).encode("utf-32-le"), "<u4")
     starts = np.cumsum(c) - c
     # (text, code point) keys, narrowed so the stable sort below is a radix
     # sort on most batches
     width = int(points.max(initial=0)) + 1
     keys = points.astype(np.min_scalar_type(c.size * width - 1))
+    del points
     for t, (a, m) in enumerate(zip(starts.tolist()[1:], c.tolist()[1:]), start=1):
         keys[a:a + m] += t * width
     totals = np.bincount(keys)
     present = totals > 0
     totals = totals[present]
-    # where each text's alphabet starts among the batch's (text, character) pairs
+    # where each text's alphabet starts among the batch's (text, character)
+    # pairs, and where each pair's group starts in the position order
     alphabet_starts = np.searchsorted(np.flatnonzero(present), np.arange(c.size) * width)
+    edges = np.concatenate([[0], np.cumsum(totals)])
     # positions grouped by text and character, ascending within each, the
     # texts in turn: at each u the nonzero (character, window) cells are runs,
     # which start at a character's first position or where pos // u changes,
     # i.e. for u a power of two, where pos differs from the position before it
     # in a bit worth u or more; split holds each position within its text XOR
-    # the one before it, c at each character's first position, and c past the
-    # end, so every run ends where the next starts
+    # the one before it, and order.size at each group's bounds, so every run
+    # ends where the next starts
     order = np.argsort(keys, kind="stable")
     for a, m in zip(starts.tolist()[1:], c.tolist()[1:]):
         order[a:a + m] -= a
-    split = np.empty(order.size + 1, order.dtype)
-    split[1:-1] = order[1:] ^ order[:-1]
-    split[np.cumsum(totals)] = split[0] = order.size
-    us: list[int] = []
+    us = [1 << k for k in range(1, int(c.max(initial=0) // EBELING_MIN_WINDOWS).bit_length())]
+    run_sq = np.zeros((len(us), c.size), np.int64)
+    ga = 0
+    while ga < totals.size:
+        # a slice of whole groups, at most _EBELING_SLICE positions or one
+        # longer group, its runs summed for each of the texts t to t_end in it
+        gb = max(int(np.searchsorted(edges, edges[ga] + _EBELING_SLICE, "right")) - 1, ga + 1)
+        lo, hi = edges[ga], edges[gb]
+        part = order[lo:hi]
+        split = np.empty(hi - lo + 1, order.dtype)
+        split[1:-1] = part[1:] ^ part[:-1]
+        split[edges[ga:gb + 1] - lo] = order.size
+        t, t_end = np.searchsorted(alphabet_starts, ga, "right") - 1, np.searchsorted(alphabet_starts, gb)
+        firsts = np.maximum(edges[alphabet_starts[t:t_end]] - lo, 0)
+        for row, u in zip(run_sq, us):
+            bounds = np.flatnonzero(split >= u)
+            run_lens = bounds[1:] - bounds[:-1]
+            row[t:t_end] += np.add.reduceat(run_lens * run_lens, np.searchsorted(bounds, firsts))
+        ga = gb
     ys: list[list[float]] = [[] for _ in c]
-    u = 2
-    while u <= c.max(initial=0) // EBELING_MIN_WINDOWS:
+    for u, r_row in zip(us, run_sq.tolist()):
         n_win = c // u
-        bounds = np.flatnonzero(split >= u)
-        run_lens = bounds[1:] - bounds[:-1]
-        run_sq = np.add.reduceat(run_lens * run_lens, np.searchsorted(bounds, starts)).tolist()
         # less the partial last window's cells; then sum_k var_k is
         # (n_win * sum_wk n_wk^2 - sum_k T_k^2) / n_win^2, exact in Python ints
         part = c - n_win * u
@@ -277,12 +296,10 @@ def ebeling_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | No
         in_windows = totals - tail
         tail_sq = np.add.reduceat(tail * tail, alphabet_starts).tolist()
         in_sq = np.add.reduceat(in_windows * in_windows, alphabet_starts).tolist()
-        for y, w, r, tl, iw in zip(ys, n_win.tolist(), run_sq, tail_sq, in_sq):
+        for y, w, r, tl, iw in zip(ys, n_win.tolist(), r_row, tail_sq, in_sq):
             # u <= C // EBELING_MIN_WINDOWS, as C // u >= EBELING_MIN_WINDOWS
             if w >= EBELING_MIN_WINDOWS:
                 y.append((w * (r - tl) - iw) / (w * w))
-        us.append(u)
-        u *= 2
     built = iter(EmpiricalSeries._many(np.array([v for y in ys for v in us[:len(y)]], dtype=float),
                                        np.array([v for y in ys for v in y]),
                                        np.array([len(y) for y in ys], np.int64), "ebeling"))

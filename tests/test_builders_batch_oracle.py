@@ -3,7 +3,8 @@
 The references below build one text's series on their own, as the library
 did before its builders took a batch of texts. Every series the library
 builds must equal theirs byte for byte, and every ``NotFittable`` detail
-must read the same, whether the text is built alone or in a batch.
+must read the same, whether the text is built alone or in a batch, and
+whether ebeling counts its runs in one slice of positions or in many.
 """
 
 import math
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tests.conftest import token_stream
+from tests.test_laws_oracle import exact_ebeling
 from zgptda import laws
 from zgptda.corpus import Document, first_digits, tokenize
 from zgptda.fitkit import EmpiricalSeries, NotFittable
@@ -218,3 +221,39 @@ def test_books_match_reference(book_a, book_b):
     for book in (book_a, book_b):
         assert_one_text_matches(book.text)
         assert_batch_matches([book.text])
+
+
+def assert_ebeling_matches(tss):
+    results = laws.ebeling_series_many(tss)
+    assert len(results) == len(tss)
+    for ts, result in zip(tss, results):
+        assert described(result) == outcome(ref_ebeling, ts) == outcome(exact_ebeling, ts)
+
+
+# character streams whose (text, character) groups fill a slice of 13
+# positions with several groups, so that slices end inside a text and span
+# two texts; groups longer than any slice; code points above U+FFFF; and
+# texts too short for ebeling or empty between the others
+SLICE_BATCHES = {
+    "slices end inside texts": ["abcdefgh" * 3, "hgfedcba" * 2 + "abc", "abcd" * 4],
+    "groups longer than a slice": ["a" * 60 + "b" * 3, "ab" * 9, "b" * 20],
+    "wide alphabet": ["aΣ𝐀𝐁" * 6 + "𝐀" * 9, "é𝐁ab" * 5, "ÿ" * 16],
+    "too short or empty": ["", "abc", "ab" * 12, "a" * 15, "ba" * 10, ""],
+}
+
+
+@pytest.mark.parametrize("slice_positions", [1, 2, 13])
+@pytest.mark.parametrize("batch", SLICE_BATCHES.values(), ids=SLICE_BATCHES)
+def test_ebeling_in_slices_matches_reference(batch, slice_positions, monkeypatch):
+    monkeypatch.setattr(laws, "_EBELING_SLICE", slice_positions)
+    assert_ebeling_matches([token_stream(chars=chars) for chars in batch])
+    assert_ebeling_matches([token_stream(chars="".join(batch))])
+
+
+@pytest.mark.parametrize("slice_positions", [1, 2, 13])
+@settings(max_examples=60, deadline=None)
+@given(st.lists(texts, min_size=1, max_size=12))
+def test_ebeling_batches_in_slices_match_reference(slice_positions, batch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(laws, "_EBELING_SLICE", slice_positions)
+        assert_ebeling_matches([tokenize(Document(id=f"t{i}", text=text)) for i, text in enumerate(batch)])

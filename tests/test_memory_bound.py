@@ -9,23 +9,35 @@ int64 arrays of one entry per word it sorts. Each bound leaves room above
 what the step needs today (about 6 and 9 MB); the steps before blocking
 needed about 75 and 35 MB on these inputs.
 
+On the book of 217,639 words and 787,697 letters below, ``tokenize`` finds
+and codes the words of a run of segments at a time, so no string per word
+of the whole text is alive at once (about 8 MB today, 21 before);
+``ebeling_series_many`` counts the runs of its position order a slice of
+whole character groups at a time (about 11 MB, 36 before); and
+``hilberg_series_many`` frees each temporary of a block size's sort as it
+dies (about 12 MB, 19 before).
+
 A token stream keeps one int64 code per word and each word type once. The
-bound on what a stream retains per word once its codes exist (about 21
-bytes today: codes, letters and sentence texts) fails a stream that also
-keeps a string reference per word, which took about 30.
+bound on what a stream retains per word (about 21 bytes today: codes,
+letters and sentence texts) fails a stream that also keeps a string
+reference per word, which took about 30.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from tests.conftest import synth_book, token_stream
 from zgptda.corpus import Document, tokenize
-from zgptda.laws import taylor_series
+from zgptda.laws import ebeling_series_many, hilberg_series_many, taylor_series
 from zgptda.mfdfa import HashedTrigramEmbedder
 
 EMBED_BOUND_MB = 10
 TAYLOR_BOUND_MB = 16
+TOKENIZE_BOUND_MB = 12
+EBELING_BOUND_MB = 16
+HILBERG_BOUND_MB = 15
 STREAM_BOUND_BYTES_PER_WORD = 26
 
 
@@ -38,8 +50,20 @@ def peak_mb(call):
         tracemalloc.stop()
 
 
-def test_embedder_peak_is_bounded():
-    units = tokenize(Document(id="book", text=synth_book(seed=303, n_sentences=14000))).sentence_texts
+@pytest.fixture(scope="module")
+def book():
+    return Document(id="book", text=synth_book(seed=303, n_sentences=14000))
+
+
+@pytest.fixture(scope="module")
+def book_stream(book):
+    ts = tokenize(book)
+    assert (ts.codes.size, len(ts.chars)) == (217_639, 787_697)
+    return ts
+
+
+def test_embedder_peak_is_bounded(book_stream):
+    units = book_stream.sentence_texts
     assert sum(map(len, units)) > 1_000_000
     assert peak_mb(lambda: HashedTrigramEmbedder().unit_means([None], [units])) < EMBED_BOUND_MB
 
@@ -52,12 +76,22 @@ def test_taylor_peak_is_bounded():
     assert peak_mb(lambda: taylor_series(ts)) < TAYLOR_BOUND_MB
 
 
-def test_token_stream_retention_is_bounded():
-    doc = Document(id="book", text=synth_book(seed=303, n_sentences=14000))
+def test_tokenize_peak_is_bounded(book):
+    assert peak_mb(lambda: tokenize(book)) < TOKENIZE_BOUND_MB
+
+
+def test_ebeling_peak_is_bounded(book_stream):
+    assert peak_mb(lambda: ebeling_series_many([book_stream])) < EBELING_BOUND_MB
+
+
+def test_hilberg_peak_is_bounded(book_stream):
+    assert peak_mb(lambda: hilberg_series_many([book_stream])) < HILBERG_BOUND_MB
+
+
+def test_token_stream_retention_is_bounded(book):
     tracemalloc.start()
     try:
-        ts = tokenize(doc)
-        ts.codes  # the codes the law builders read, if a stream built them lazily
+        ts = tokenize(book)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

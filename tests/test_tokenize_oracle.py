@@ -5,7 +5,8 @@ word match on its own, filters the characters with ``str.isalpha`` and
 numbers word types with ``dict.setdefault``; the embedder's reference units
 are the sentence segments, or the words when there are too few of them.
 ``tokenize`` and ``build_series``, given the document alone or with its
-token stream, must produce the same values byte for byte.
+token stream, must produce the same values byte for byte, also when
+``tokenize`` codes its words in runs of a segment or a few characters.
 """
 
 import re
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zgptda import mfdfa
+from zgptda import corpus, mfdfa
 from zgptda.corpus import Document, tokenize
 from zgptda.fitkit import NotFittable
 from zgptda.mfdfa import EmbeddingProvider, build_series
@@ -146,3 +147,20 @@ def test_long_texts_match_reference(words, sep):
 def test_books_match_reference(book_a, book_b):
     for book in (book_a, book_b):
         assert_matches_reference(book.text)
+
+
+# one segment per run, or a few segments: types first seen in a later run
+# are numbered after those of the runs before it
+@pytest.mark.parametrize("run_chars", [1, 2, 40])
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.sampled_from(EDGE_TEXTS), st.text(alphabet=ALPHABET, max_size=300)))
+def test_texts_coded_in_runs_match_reference(run_chars, text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus, "_RUN_CHARS", run_chars)
+        assert_matches_reference(text)
+
+
+@pytest.mark.parametrize("run_chars", [1, 2, 40])
+def test_books_coded_in_runs_match_reference(book_a, run_chars, monkeypatch):
+    monkeypatch.setattr(corpus, "_RUN_CHARS", run_chars)
+    assert_matches_reference(book_a.text)
