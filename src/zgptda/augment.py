@@ -11,6 +11,7 @@ a fully deterministic mock. Every pipeline test runs against the mock or
 recorded generations; live completions are nondeterministic and priced.
 """
 
+import contextlib
 import hashlib
 import io
 import json
@@ -20,6 +21,7 @@ import os
 import random
 import time
 import urllib.parse
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,7 +61,9 @@ __all__ = [
     "rank_instances",
     "select_augmented",
     "AugmentationRun",
+    "augmentation_runs",
     "run_augmentation",
+    "atomic_writer",
     "atomic_write_text",
     "emit_dataset",
     "CorpusEvaluation",
@@ -496,6 +500,51 @@ class AugmentationRun:
     partial: bool
 
 
+def augmentation_runs(
+    raws: list[Document],
+    cfg: GenerationConfig,
+    transport: Transport,
+    *,
+    embedder: EmbeddingProvider | None = None,
+) -> Iterator[AugmentationRun]:
+    """Generate, score, rank, and select for every raw example, yielding each
+    example's run as soon as all its instances are scored.
+
+    Instances are scored in batches of consecutive instances, which may span
+    raw examples, of at most :data:`_SCORE_BATCH_CHARS` characters (or one).
+    On transport exhaustion the failing example's partial instances are still
+    scored and its run, marked partial, is yielded; then the
+    :class:`PartialGeneration` is raised.
+    """
+    # (raw, instance count) of the runs not yet yielded, and the scored
+    # instances of their first ones
+    pending, scored, batch, size = [], [], [], 0
+    error: PartialGeneration | None = None
+    for k, raw in enumerate(raws, start=1):
+        try:
+            docs = generate_instances(raw, cfg, transport)
+        except PartialGeneration as exc:
+            docs, error = exc.instances, exc
+        pending.append((raw, len(docs)))
+        for doc in docs:
+            if batch and size + len(doc.text) > _SCORE_BATCH_CHARS:
+                scored += score_instances(batch, embedder=embedder)
+                batch, size = [], 0
+            batch.append(doc)
+            size += len(doc.text)
+        if batch and (error is not None or k == len(raws)):
+            scored += score_instances(batch, embedder=embedder)
+            batch = []
+        while pending and pending[0][1] <= len(scored):
+            own_raw, n = pending.pop(0)
+            own = rank_instances(scored[:n])
+            del scored[:n]
+            yield AugmentationRun(raw=own_raw, instances=own, selected=select_augmented(own, cfg.top_fraction)
+                                  if own else [], partial=error is not None and not pending)
+        if error is not None:
+            raise error
+
+
 def run_augmentation(
     raws: list[Document],
     cfg: GenerationConfig,
@@ -503,46 +552,26 @@ def run_augmentation(
     *,
     embedder: EmbeddingProvider | None = None,
 ) -> tuple[list[AugmentationRun], PartialGeneration | None]:
-    """Generate, score, rank, and select for every raw example.
-
-    Instances are scored in batches of consecutive instances, which may span
-    raw examples, of at most :data:`_SCORE_BATCH_CHARS` characters (or one).
-    On transport exhaustion the failing example's partial instances are still
-    scored and included; the runs so far are returned with the error.
-    """
-    generated, scored, batch, size = [], [], [], 0
-    error: PartialGeneration | None = None
-    for raw in raws:
-        try:
-            docs = generate_instances(raw, cfg, transport)
-        except PartialGeneration as exc:
-            docs, error = exc.instances, exc
-        generated.append((raw, docs))
-        for doc in docs:
-            if batch and size + len(doc.text) > _SCORE_BATCH_CHARS:
-                scored += score_instances(batch, embedder=embedder)
-                batch, size = [], 0
-            batch.append(doc)
-            size += len(doc.text)
-        if error is not None:
-            break
-    if batch:
-        scored += score_instances(batch, embedder=embedder)
-    runs, at = [], 0
-    for k, (raw, docs) in enumerate(generated, start=1):
-        own, at = rank_instances(scored[at:at + len(docs)]), at + len(docs)
-        runs.append(AugmentationRun(raw=raw, instances=own, selected=select_augmented(own, cfg.top_fraction)
-                                    if own else [], partial=error is not None and k == len(generated)))
-    return runs, error
+    """:func:`augmentation_runs`, collected: the runs, and the transport
+    failure that ended them or None."""
+    runs = []
+    try:
+        for run in augmentation_runs(raws, cfg, transport, embedder=embedder):
+            runs.append(run)
+    except PartialGeneration as exc:
+        return runs, exc
+    return runs, None
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file and a rename, so a
+@contextlib.contextmanager
+def atomic_writer(path):
+    """A text file to write ``path`` through: it is ``path`` + ``.tmp``,
+    renamed to ``path`` when the block ends and removed if it raises, so a
     failure leaves no partial file behind."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -550,40 +579,52 @@ def atomic_write_text(path, text: str) -> None:
         raise
 
 
-def emit_dataset(raws: list[Document], runs: list[AugmentationRun], path) -> int:
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` through :func:`atomic_writer`."""
+    with atomic_writer(path) as fh:
+        fh.write(text)
+
+
+def emit_dataset(raws: list[Document], runs: Iterable[AugmentationRun], path) -> int:
     """Write the concatenated training set: every raw example followed by
     every selected instance.
 
     Raw records carry ``origin: "raw"``; augmented records carry
-    ``origin: "aug"`` plus their source id and suitability. The file is
-    written atomically (write-then-rename), so failures leave no partial
-    output behind.
+    ``origin: "aug"`` plus their source id and suitability. Each run's
+    records are written as the run arrives, so ``runs`` may be
+    :func:`augmentation_runs` itself. The file is written through
+    :func:`atomic_writer`, so failures leave no partial output behind.
 
     Returns the number of records written.
+
+    Raises:
+        ValueError: two records share an id, or a run's raw example is not
+            among ``raws``.
     """
     raw_ids = {d.id for d in raws}
-    for run in runs:
-        if run.raw.id not in raw_ids:
-            raise ValueError(f"run for {run.raw.id!r} has no matching raw example")
-    records = []
-    for doc in raws:
-        records.append({"id": doc.id, "text": doc.text, "label": doc.label, "origin": "raw"})
-    for run in runs:
-        for item in run.selected:
-            records.append({
+    ids: set[str] = set()
+
+    def line(rec: dict) -> str:
+        if rec["id"] in ids:
+            raise ValueError(f"duplicate output id {rec['id']!r}")
+        ids.add(rec["id"])
+        return json.dumps(rec, ensure_ascii=False) + "\n"
+
+    with atomic_writer(path) as fh:
+        fh.writelines(line({"id": doc.id, "text": doc.text, "label": doc.label, "origin": "raw"})
+                      for doc in raws)
+        for run in runs:
+            if run.raw.id not in raw_ids:
+                raise ValueError(f"run for {run.raw.id!r} has no matching raw example")
+            fh.writelines(line({
                 "id": item.instance.id,
                 "text": item.instance.text,
                 "label": item.instance.label,
                 "origin": "aug",
                 "source_id": run.raw.id,
                 "suitability": item.suitability.s,
-            })
-    ids = [r["id"] for r in records]
-    if len(ids) != len(set(ids)):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise ValueError(f"duplicate output ids: {dupes[:5]}")
-    atomic_write_text(path, "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records))
-    return len(records)
+            }) for item in run.selected)
+    return len(ids)
 
 
 @dataclass

@@ -28,11 +28,13 @@ from .augment import (
     ReplayTransport,
     TransportError,
     atomic_write_text,
+    atomic_writer,
+    augmentation_runs,
     compare_corpora,
     corpus_report_dict,
     emit_dataset,
     evaluate_corpus,
-    run_augmentation,
+    run_augmentation,  # noqa: F401  not called here: perfbench/instrument.py looks it up on this module
 )
 from .corpus import LoadError, load_jsonl
 from .laws import HILBERG_MAX_BLOCK, TAYLOR_SEGMENT_LEN
@@ -58,8 +60,12 @@ def _sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True)
+
+
 def _write_json(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, ensure_ascii=False, sort_keys=True) + "\n")
+    atomic_write_text(path, _dumps(obj) + "\n")
 
 
 def _write_manifest(out_path, command: str, args: argparse.Namespace, inputs, started: float):
@@ -86,6 +92,9 @@ def _shared_path(args) -> str | None:
     outputs = [(flag, given[dest]) for flag, dest in _OUTPUTS if given.get(dest)]
     if given.get("out"):
         outputs.append(("the manifest of --out", f"{given['out']}.manifest.json"))
+    # each is written through a temporary file beside it, augment's --out and
+    # --scores at once
+    outputs += [(f"the temporary file of {flag}", f"{path}.tmp") for flag, path in outputs]
     if given.get("series_csv"):
         outputs.append(("--series-csv", given["series_csv"]))
     inputs = [(flag, given[dest]) for flag, dest in _INPUTS if given.get(dest)]
@@ -212,39 +221,31 @@ def _law_entry(fit) -> dict:
     return {"r2": m.r2, "kl": m.kl, "js": m.js, "mape": m.mape, "exponent": fit.exponent}
 
 
-def _scores_payload(runs, cfg: GenerationConfig, transport_id: str) -> dict:
-    config_sha256 = cfg.sha256()
-    payload_runs = []
-    for run in runs:
-        instances = []
-        for item in run.instances:
-            entry = {
-                "id": item.instance.id,
-                "rank": item.rank,
-                "suitability": item.suitability.s,
-                "s_prime_centroid": item.suitability.s_prime_centroid,
-                "no_signal": item.no_signal,
-                "excluded_laws": item.excluded_laws,
-                "laws": {
-                    r.law: _law_entry(r.fit) if r.fittable else None for r in item.law_reports
-                },
-            }
-            if item.z is not None:
-                entry["z"] = {"a_t": item.z.a_t, "b_t": item.z.b_t, "laws_used": item.z.laws_used}
-            instances.append(entry)
-        payload_runs.append({
-            "raw_id": run.raw.id,
-            "transport": transport_id,
-            "config_sha256": config_sha256,
-            "partial": run.partial,
-            "selected_ids": [s.instance.id for s in run.selected],
-            "instances": instances,
-        })
+def _run_entry(run, transport_id: str, config_sha256: str) -> dict:
+    """One run's member of the ``runs`` list of scores.json."""
+    instances = []
+    for item in run.instances:
+        entry = {
+            "id": item.instance.id,
+            "rank": item.rank,
+            "suitability": item.suitability.s,
+            "s_prime_centroid": item.suitability.s_prime_centroid,
+            "no_signal": item.no_signal,
+            "excluded_laws": item.excluded_laws,
+            "laws": {
+                r.law: _law_entry(r.fit) if r.fittable else None for r in item.law_reports
+            },
+        }
+        if item.z is not None:
+            entry["z"] = {"a_t": item.z.a_t, "b_t": item.z.b_t, "laws_used": item.z.laws_used}
+        instances.append(entry)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "config": {**cfg.__dict__},
-        "rulebase": describe_rulebase(),
-        "runs": payload_runs,
+        "raw_id": run.raw.id,
+        "transport": transport_id,
+        "config_sha256": config_sha256,
+        "partial": run.partial,
+        "selected_ids": [s.instance.id for s in run.selected],
+        "instances": instances,
     }
 
 
@@ -282,15 +283,40 @@ def cmd_augment(args) -> int:
         recorder = RecordingTransport(transport)
         transport = recorder
 
-    runs, error = run_augmentation(raws, cfg, transport, embedder=_embedder(args))
+    # scores.json as _write_json writes it, around runs written one at a
+    # time: JSON escapes every newline within a string, so a run's own
+    # encoding with each line indented by 4 more is its encoding at depth 2
+    head, _, tail = _dumps({"schema_version": SCHEMA_VERSION, "config": {**cfg.__dict__},
+                            "rulebase": describe_rulebase(), "runs": [None]}).partition("\n    null")
+    config_sha256, embedder = cfg.sha256(), _embedder(args)
+    error = None
 
-    if error is not None and not args.keep_partial:
-        print(f"error: {error} (rerun with --keep-partial to keep partial results)",
-              file=sys.stderr)
+    def scored_runs(scores):
+        """Each run, once its entry is written to ``scores``; with
+        --keep-partial a transport failure ends the runs, else it is raised."""
+        nonlocal error
+        try:
+            for k, run in enumerate(augmentation_runs(raws, cfg, transport, embedder=embedder)):
+                entry = _dumps(_run_entry(run, transport.transport_id, config_sha256))
+                scores.write(("," if k else "") + "\n    " + entry.replace("\n", "\n    "))
+                yield run
+        except PartialGeneration as exc:
+            if not args.keep_partial:
+                raise
+            error = exc
+
+    # each run is written as soon as it is scored; the dataset is renamed
+    # into place before the scores, and a failure removes both temporary
+    # files and leaves any earlier outputs as they were
+    try:
+        with atomic_writer(args.scores) as scores:
+            scores.write(head)
+            n_records = emit_dataset(raws, scored_runs(scores), args.out)
+            scores.write(tail + "\n")
+    except PartialGeneration as exc:
+        print(f"error: {exc} (rerun with --keep-partial to keep partial results)", file=sys.stderr)
         return EXIT_TRANSPORT
 
-    n_records = emit_dataset(raws, runs, args.out)
-    _write_json(args.scores, _scores_payload(runs, cfg, transport.transport_id))
     if recorder is not None:
         recorder.dump(args.record_file)
     replayed = [args.replay_file] if args.transport == "replay" else []

@@ -91,16 +91,14 @@ def tokenize(doc: Document) -> TokenStream:
         sentence_texts += compress(run, per_segment)
         sentences += filter(None, map(len, per_segment))
         found = list(chain.from_iterable(per_segment))
-        runs.append("".join(found))
+        letters = "".join(found)
+        # the word pattern also matches non-decimal numerals such as ² and ½
+        runs.append(letters if letters.isalpha() else "".join(filter(str.isalpha, letters)))
         code = {w: index.setdefault(w.casefold(), len(index)) for w in dict.fromkeys(found)}
         codes.fromlist(list(map(code.__getitem__, found)))
         lo = hi
-    chars = "".join(runs)
-    # the word pattern also matches non-decimal numerals such as ² and ½
-    if not chars.isalpha():
-        chars = "".join(c for c in doc.text if c.isalpha())
     return TokenStream(codes=np.frombuffer(codes, np.int64), types=list(index), sentences=sentences,
-                       chars=chars, sentence_texts=sentence_texts)
+                       chars="".join(runs), sentence_texts=sentence_texts)
 
 
 def load_jsonl(path) -> list[Document]:

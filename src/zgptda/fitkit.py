@@ -271,11 +271,13 @@ def fit_loglog(series: EmpiricalSeries) -> LawFit:
 
 
 def _attempt(solve, *args):
-    """``solve(*args)``, or the NotFittable it raises."""
+    """``solve(*args)``, or the NotFittable it raises, without its traceback:
+    its frames would hold the caller's results, the exception among them, in
+    a cycle only the garbage collector frees."""
     try:
         return solve(*args)
     except NotFittable as exc:
-        return exc
+        return exc.with_traceback(None)
 
 
 def _only(results):

@@ -242,11 +242,16 @@ def ebeling_series_many(tss: Sequence[TokenStream]) -> list[EmpiricalSeries | No
     c = n_chars[fits]
     points = np.frombuffer("".join(ts.chars for ts, ok in zip(tss, fits) if ok).encode("utf-32-le"), "<u4")
     starts = np.cumsum(c) - c
-    # (text, code point) keys, narrowed so the stable sort below is a radix
-    # sort on most batches
-    width = int(points.max(initial=0)) + 1
-    keys = points.astype(np.min_scalar_type(c.size * width - 1))
-    del points
+    # (text, character) keys, a character by its code point's rank among the
+    # batch's, so they span the batch's alphabet, in code point order; narrowed
+    # so the stable sort below is a radix sort on most batches
+    seen = np.zeros(int(points.max(initial=0)) + 1, bool)
+    seen[points] = True
+    width = max(int(np.count_nonzero(seen)), 1)
+    rank = np.zeros(seen.size, np.min_scalar_type(c.size * width - 1))
+    np.cumsum(seen[:-1], dtype=rank.dtype, out=rank[1:])
+    keys = rank.take(points)
+    del points, seen, rank
     for t, (a, m) in enumerate(zip(starts.tolist()[1:], c.tolist()[1:]), start=1):
         keys[a:a + m] += t * width
     totals = np.bincount(keys)

@@ -4,9 +4,12 @@ import os
 
 import pytest
 
-from zgptda.augment import GenerationConfig, MockTransport
-from zgptda.cli import _parse_args, main
+from zgptda import augment
+from zgptda.augment import (SCHEMA_VERSION, GenerationConfig, MockTransport, ReplayTransport, request_hash,
+                            request_payload, run_augmentation)
+from zgptda.cli import _parse_args, _run_entry, main
 from zgptda.corpus import Document, load_jsonl, tokenize
+from zgptda.zscore import describe_rulebase
 from tests.conftest import make_raw_dataset
 
 
@@ -435,6 +438,8 @@ class TestAugment:
          "--record-file and --replay-file"),
         ({"--scores": "raw.jsonl"}, "--scores and input"),
         ({"--scores": "a.jsonl.manifest.json"}, "--scores and the manifest of --out"),
+        ({"--out": "s.json.tmp", "--scores": "s.json"}, "--out and the temporary file of --scores"),
+        ({"--scores": "a.jsonl.tmp"}, "--scores and the temporary file of --out"),
     ])
     def test_outputs_sharing_a_file_rejected_before_generation(self, dataset, tmp_path, flags, names,
                                                                monkeypatch, capsys):
@@ -463,6 +468,144 @@ class TestAugment:
         assert run(["augment", dataset, "--transport", "replay", "--replay-file", replay,
                     "--out", tmp_path / "a.jsonl", "--scores", tmp_path / "s.json"]) == 2
         assert "line 1: bad replay record" in capsys.readouterr().err
+
+
+class TestAugmentStreamed:
+    """augment writes each run as soon as it is scored; its outputs must be
+    the bytes of the whole payload encoded at once, built here from
+    run_augmentation in the same process."""
+
+    RAWS = [
+        {"id": "Größe-1", "text": "Die Pumpe fiel aus. Der Druck stieg über das Maß.", "label": "ä"},
+        {"id": "日本-2", "text": "ポンプが故障した。 Valve «ouverte» — leak ½ of the flow.", "label": None},
+        {"id": "r3", "text": "The seal failed under load. Steam escaped.", "label": "3"},
+    ]
+
+    @pytest.fixture
+    def raws(self, tmp_path):
+        path = tmp_path / "raws.jsonl"
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in self.RAWS),
+                        encoding="utf-8")
+        return path
+
+    @staticmethod
+    def expected(raws_path, cfg, transport, transport_id):
+        """scores.json and augmented.jsonl as one encoding of each whole."""
+        raws = load_jsonl(raws_path)
+        runs, error = run_augmentation(raws, cfg, transport)
+        payload = {"schema_version": SCHEMA_VERSION, "config": {**cfg.__dict__},
+                   "rulebase": describe_rulebase(),
+                   "runs": [_run_entry(r, transport_id, cfg.sha256()) for r in runs]}
+        records = [{"id": d.id, "text": d.text, "label": d.label, "origin": "raw"} for d in raws]
+        records += [{"id": item.instance.id, "text": item.instance.text, "label": item.instance.label,
+                     "origin": "aug", "source_id": r.raw.id, "suitability": item.suitability.s}
+                    for r in runs for item in r.selected]
+        scores = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        dataset = "".join(json.dumps(rec, ensure_ascii=False) + "\n" for rec in records)
+        return scores, dataset, runs, error
+
+    @classmethod
+    def request_key(cls, cfg, k):
+        """The request hash of the k-th raw example's paraphrases."""
+        prompt = cfg.prompt_template.format(n=cfg.n_instances, text=cls.RAWS[k]["text"])
+        return request_hash(request_payload(prompt, cfg))
+
+    @staticmethod
+    def outputs(tmp_path, name):
+        return [(tmp_path / f"{name}.{ext}").read_text(encoding="utf-8") for ext in ("json", "jsonl")]
+
+    @pytest.mark.parametrize("fraction", ["0.5", "1"])
+    def test_mock_outputs_equal_one_encoding(self, raws, tmp_path, fraction):
+        assert run(["augment", raws, "--n", "3", "--fraction", fraction, "--seed", "4",
+                    "--out", tmp_path / "a.jsonl", "--scores", tmp_path / "a.json"]) == 0
+        cfg = GenerationConfig(n_instances=3, top_fraction=float(fraction), seed=4)
+        scores, dataset, runs, _ = self.expected(raws, cfg, MockTransport(seed=4), "mock:4")
+        assert self.outputs(tmp_path, "a") == [scores, dataset]
+        assert len(runs) == 3 and all(len(r.selected) == (3 if fraction == "1" else 2) for r in runs)
+
+    def test_partial_last_run_equals_one_encoding(self, raws, tmp_path):
+        rec = tmp_path / "rec.jsonl"
+        flags = ["--n", "3", "--seed", "1"]
+        assert run(["augment", raws, *flags, "--out", tmp_path / "m.jsonl", "--scores", tmp_path / "m.json",
+                    "--record-file", rec]) == 0
+        # the second raw's request loses its last completion: it fails at slot 3
+        cfg = GenerationConfig(n_instances=3, seed=1)
+        second = self.request_key(cfg, 1)
+        lines = rec.read_text(encoding="utf-8").splitlines(keepends=True)
+        dropped = max(k for k, line in enumerate(lines) if json.loads(line)["request_hash"] == second)
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text("".join(lines[:dropped] + lines[dropped + 1:]), encoding="utf-8")
+        assert run(["augment", raws, *flags, "--transport", "replay", "--replay-file", replay,
+                    "--out", tmp_path / "a.jsonl", "--scores", tmp_path / "a.json", "--keep-partial"]) == 2
+        transport = ReplayTransport(replay)
+        scores, dataset, runs, error = self.expected(raws, cfg, transport, transport.transport_id)
+        assert self.outputs(tmp_path, "a") == [scores, dataset]
+        assert "slot 3" in str(error)
+        assert [(r.raw.id, len(r.instances), r.partial) for r in runs] == [
+            ("Größe-1", 3, False), ("日本-2", 2, True)]
+
+    def test_first_raw_failing_at_slot_1_equals_one_encoding(self, raws, tmp_path):
+        replay = tmp_path / "replay.jsonl"
+        replay.write_text("", encoding="utf-8")
+        assert run(["augment", raws, "--n", "2", "--transport", "replay", "--replay-file", replay,
+                    "--out", tmp_path / "a.jsonl", "--scores", tmp_path / "a.json", "--keep-partial"]) == 2
+        cfg = GenerationConfig(n_instances=2)
+        transport = ReplayTransport(replay)
+        scores, dataset, runs, _ = self.expected(raws, cfg, transport, transport.transport_id)
+        assert self.outputs(tmp_path, "a") == [scores, dataset]
+        assert [(r.raw.id, r.instances, r.partial) for r in runs] == [("Größe-1", [], True)]
+
+    @pytest.fixture
+    def earlier_outputs(self, tmp_path):
+        """Outputs of an earlier command, which a failed one must leave as they are."""
+        paths = {"--out": tmp_path / "a.jsonl", "--scores": tmp_path / "a.json",
+                 "--record-file": tmp_path / "rec.jsonl"}
+        for path in [*paths.values(), tmp_path / "a.jsonl.manifest.json"]:
+            path.write_text(f"earlier {path.name}\n", encoding="utf-8")
+        return [a for item in paths.items() for a in item]
+
+    @staticmethod
+    def assert_untouched(tmp_path):
+        assert sorted(p.name for p in tmp_path.glob("*.tmp")) == []
+        for name in ("a.jsonl", "a.json", "rec.jsonl", "a.jsonl.manifest.json"):
+            assert (tmp_path / name).read_text(encoding="utf-8") == f"earlier {name}\n"
+
+    def test_transport_failure_without_keep_partial_leaves_earlier_outputs(
+            self, raws, tmp_path, earlier_outputs, monkeypatch, capsys):
+        # one instance per batch, so the first run is written before the miss
+        monkeypatch.setattr(augment, "_SCORE_BATCH_CHARS", 1)
+        replay = tmp_path / "replay.jsonl"
+        cfg = GenerationConfig(n_instances=2)
+        first = self.request_key(cfg, 0)
+        replay.write_text("".join(json.dumps({"request_hash": first, "completion": text}) + "\n"
+                                  for text in ("One sentence here. Another one.", "Short text. Words.")),
+                          encoding="utf-8")
+        assert run(["augment", raws, "--n", "2", "--transport", "replay", "--replay-file", replay,
+                    *earlier_outputs]) == 2
+        assert "rerun with --keep-partial" in capsys.readouterr().err
+        self.assert_untouched(tmp_path)
+
+    def test_provider_failure_leaves_earlier_outputs(self, raws, tmp_path, earlier_outputs, monkeypatch,
+                                                     capsys):
+        monkeypatch.setattr(augment, "_SCORE_BATCH_CHARS", 1)
+        # vectors for every unit of the first raw's instances, none for the second's
+        embeddings = tmp_path / "vectors.jsonl"
+        embeddings.write_text("".join(
+            json.dumps({"id": f"Größe-1#gen{k}", "unit_index": i, "vector": [1.0, float(i % 7)]},
+                       ensure_ascii=False) + "\n"
+            for k in (1, 2) for i in range(1000)), encoding="utf-8")
+        assert run(["augment", raws, "--n", "2", "--embeddings", embeddings, *earlier_outputs]) == 2
+        assert "no vector for '日本-2#gen1'" in capsys.readouterr().err
+        self.assert_untouched(tmp_path)
+
+    def test_duplicate_output_id_exit_1_without_outputs(self, tmp_path, capsys):
+        raws = tmp_path / "raws.jsonl"
+        raws.write_text("".join(json.dumps({"id": i, "text": "The pump failed."}) + "\n"
+                                for i in ("a", "a#gen1")), encoding="utf-8")
+        assert run(["augment", raws, "--n", "1", "--out", tmp_path / "a.jsonl",
+                    "--scores", tmp_path / "a.json", "--record-file", tmp_path / "rec.jsonl"]) == 1
+        assert "duplicate output id 'a#gen1'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raws.jsonl"]
 
 
 class TestUsage:

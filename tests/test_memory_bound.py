@@ -17,6 +17,17 @@ whole character groups at a time (about 11 MB, 36 before); and
 ``hilberg_series_many`` frees each temporary of a block size's sort as it
 dies (about 12 MB, 19 before).
 
+``ebeling_series_many`` keys each (text, character) pair by the rank of
+the character's code point among the batch's, so one astral letter in a
+batch of augment-sized texts costs what any letter does (about 0.6 MB, 90
+before, when the keys spanned every code point up to the largest).
+
+``augment`` writes each raw example's run as soon as it is scored and keeps
+none of its scored instances after, so its peak is that of one scoring
+batch, whatever the number of raw examples: 10 and 40 raws of 10 mock
+paraphrases peak at about 6.3 and 7.0 MB, where holding every run to the
+end took 6.3 and 12 to 15 (the garbage collector freed some of it).
+
 A token stream keeps one int64 code per word and each word type once. The
 bound on what a stream retains per word (about 21 bytes today: codes,
 letters and sentence texts) fails a stream that also keeps a string
@@ -28,7 +39,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tests.conftest import synth_book, token_stream
+from tests.conftest import make_raw_dataset, synth_book, token_stream
+from zgptda.cli import main
 from zgptda.corpus import Document, tokenize
 from zgptda.laws import ebeling_series_many, hilberg_series_many, taylor_series
 from zgptda.mfdfa import HashedTrigramEmbedder
@@ -37,6 +49,8 @@ EMBED_BOUND_MB = 10
 TAYLOR_BOUND_MB = 16
 TOKENIZE_BOUND_MB = 12
 EBELING_BOUND_MB = 16
+EBELING_ASTRAL_BOUND_MB = 8
+AUGMENT_GROWTH_BOUND_MB = 2
 HILBERG_BOUND_MB = 15
 STREAM_BOUND_BYTES_PER_WORD = 26
 
@@ -82,6 +96,24 @@ def test_tokenize_peak_is_bounded(book):
 
 def test_ebeling_peak_is_bounded(book_stream):
     assert peak_mb(lambda: ebeling_series_many([book_stream])) < EBELING_BOUND_MB
+
+
+def test_ebeling_peak_with_an_astral_letter_is_bounded():
+    # 84 augment-sized texts of 115 letters, one of them with U+1D400
+    base = "alpha beta gamma delta epsilon zeta eta theta " * 3
+    tss = [tokenize(Document(id=str(k), text=base + ("\U0001d400" if k == 0 else "x"))) for k in range(84)]
+    assert peak_mb(lambda: ebeling_series_many(tss)) < EBELING_ASTRAL_BOUND_MB
+
+
+def test_augment_peak_barely_grows_with_the_raws(tmp_path):
+    def augment(n_raws):
+        raws = make_raw_dataset(tmp_path / f"raws{n_raws}.jsonl", n=n_raws, seed=1)
+        return lambda: main(["augment", str(raws), "--out", str(tmp_path / f"a{n_raws}.jsonl"),
+                             "--scores", str(tmp_path / f"s{n_raws}.json")])
+
+    augment(1)()  # what the first command of a process allocates once is not counted
+    small, large = peak_mb(augment(10)), peak_mb(augment(40))
+    assert large - small < AUGMENT_GROWTH_BOUND_MB, (small, large)
 
 
 def test_hilberg_peak_is_bounded(book_stream):

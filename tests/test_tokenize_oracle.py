@@ -164,3 +164,16 @@ def test_texts_coded_in_runs_match_reference(run_chars, text):
 def test_books_coded_in_runs_match_reference(book_a, run_chars, monkeypatch):
     monkeypatch.setattr(corpus, "_RUN_CHARS", run_chars)
     assert_matches_reference(book_a.text)
+
+
+# numerals the word pattern matches but isalpha rejects, in some runs and not
+# others: only the letters of the runs that hold one are filtered
+@pytest.mark.parametrize("run_chars", [1, 2, 40])
+@pytest.mark.parametrize("text", [
+    "Price x² is ½ of it. Then plain words follow here. And more plain words. End x²y.",
+    "Plain words first. " * 5 + "Half is ½. " + "Plain words last. " * 5,
+    "²½. ab. ½",
+])
+def test_numerals_in_some_runs_match_reference(run_chars, text, monkeypatch):
+    monkeypatch.setattr(corpus, "_RUN_CHARS", run_chars)
+    assert_matches_reference(text)
