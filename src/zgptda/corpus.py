@@ -5,13 +5,12 @@ Input datasets are JSON Lines files, one object per line:
 
 Tokenization rules (fixed so every downstream statistic is reproducible):
 
-* words: maximal runs of Unicode alphabetic characters, case-folded
-* sentences: split on runs of ``.``, ``!``, ``?``; empty sentences dropped
-* chars: the alphabetic characters of the text in order, case preserved
+* words: maximal runs of non-decimal alphanumeric characters (``²`` and ``½`` too), case-folded
+* sentences: split on runs of ``.``, ``!``, ``?``; sentences without words dropped
+* chars: the letters (``str.isalpha``) of the text in order, case preserved
 """
 
 import json
-import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -28,9 +27,6 @@ __all__ = [
     "first_digits",
 ]
 
-# alphabetic-only: \w minus digits and underscore
-_WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
-_SENT_RE = re.compile(r"[.!?]+")
 # characters of sentence segments whose words are found and coded at a time
 _RUN_CHARS = 2 ** 16
 
@@ -75,11 +71,13 @@ def tokenize(doc: Document) -> TokenStream:
 
     Pure function of the input bytes; empty text yields empty streams.
     """
-    segments = _SENT_RE.split(doc.text)
+    # each terminator becomes "."; a run of them leaves empty segments, which hold no words
+    segments = doc.text.translate(str.maketrans("!?", "..")).split(".")
+    # every character but "." that a word cannot hold becomes a space
+    gaps = {ord(c): " " for c in set(doc.text) if c != "." and (not c.isalnum() or c.isdecimal())}
     ends = list(accumulate(map(len, segments)))
     sentences, sentence_texts, runs = [], [], []
-    # each distinct match of a run is folded once and its type numbered by
-    # first occurrence in the text
+    # each distinct word of a run is folded once, its type numbered by first occurrence
     index: dict[str, int] = {}
     codes = array("q")
     lo = 0
@@ -87,12 +85,12 @@ def tokenize(doc: Document) -> TokenStream:
         # the segments within _RUN_CHARS characters of this one, or it alone
         hi = max(bisect_right(ends, ends[lo] - len(segments[lo]) + _RUN_CHARS), lo + 1)
         run = segments[lo:hi]
-        per_segment = list(map(_WORD_RE.findall, run))
+        per_segment = list(map(str.split, ".".join(run).translate(gaps).split(".")))
         sentence_texts += compress(run, per_segment)
         sentences += filter(None, map(len, per_segment))
         found = list(chain.from_iterable(per_segment))
         letters = "".join(found)
-        # the word pattern also matches non-decimal numerals such as ² and ½
+        # words also hold non-decimal numerals such as ² and ½, which chars leaves out
         runs.append(letters if letters.isalpha() else "".join(filter(str.isalpha, letters)))
         code = {w: index.setdefault(w.casefold(), len(index)) for w in dict.fromkeys(found)}
         codes.fromlist(list(map(code.__getitem__, found)))

@@ -193,23 +193,25 @@ def hilberg_series_many(
             break
         if mu > 1:
             n_blocks = codes.size - mu + 1
-            # block code = prefix code * n_types + last word code; one sort
-            # groups the blocks, each is re-coded by its first position (so the
-            # next keys fit int64), and bincount counts them by first occurrence;
-            # each temporary is freed as it dies
-            keys = blocks[:n_blocks] * int(n_types.sum())
-            keys += codes[mu - 1 :]
-            del blocks
+            # a block whose prefix occurs once occurs once: its position is its code; the
+            # others, sorted by prefix code * n_types + last word code, take their group's
+            # first position (next keys fit int64; bincount counts by first occurrence)
+            at = np.flatnonzero(repeated[blocks[:n_blocks]])
+            keys = blocks[at] * int(n_types.sum())
+            keys += codes[at + (mu - 1)]
+            del repeated, blocks
             perm = np.argsort(keys)
             keys = keys[perm]
-            # the bounds of the groups of equal keys: 0, each change, n_blocks
+            at = at[perm]
+            # the bounds of the groups of equal keys: 0, each change, at.size
             bounds = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1], [True]]))
-            del keys
+            del keys, perm
             group_starts = bounds[:-1]
-            blocks = np.empty(n_blocks, np.int64)
-            blocks[perm] = np.repeat(np.minimum.reduceat(perm, group_starts), bounds[1:] - group_starts)
-            del perm
+            blocks = np.arange(n_blocks)
+            if at.size:
+                blocks[at] = np.repeat(np.minimum.reduceat(at, group_starts), bounds[1:] - group_starts)
         counts = np.bincount(blocks)
+        repeated = counts > 1
         # the blocks that start in the last mu - 1 words of a text run past it
         tail = np.minimum(n, mu - 1)
         past = np.arange(tail.sum()) + np.repeat(ends - tail - (np.cumsum(tail) - tail), tail)

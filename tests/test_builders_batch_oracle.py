@@ -257,3 +257,32 @@ def test_ebeling_batches_in_slices_match_reference(slice_positions, batch):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(laws, "_EBELING_SLICE", slice_positions)
         assert_ebeling_matches([tokenize(Document(id=f"t{i}", text=text)) for i, text in enumerate(batch)])
+
+
+# hilberg sorts only the blocks whose prefix occurs more than once in the
+# batch, and codes every other block by its own position: batches where
+# every prefix repeats, where the same words repeat only in another text
+# (whose codes differ) or across the end of a text, a text of one word
+# repeated, and block sizes above every text's length
+HILBERG_BATCHES = {
+    "one word repeated": ["w " * 50],
+    "one word repeated, in a batch": ["w " * 50, "w w", "v " * 9 + "w"],
+    "same words in other texts": ["a b c", "a b c", "a b c"],
+    "prefix repeated across text ends": ["x a b", "a b y", "b", "a b"],
+    "each text's last words start the next": ["p q r s", "r s t u", "t u p q"],
+    "blocks longer than every text": ["a b a", "b", "", "a a", "c d c d"],
+}
+
+
+@pytest.mark.parametrize("max_block", [1, 2, 3, 7])
+@pytest.mark.parametrize("batch", HILBERG_BATCHES.values(), ids=HILBERG_BATCHES)
+def test_hilberg_batches_match_reference(batch, max_block):
+    assert_batch_matches(batch, max_block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "A"]), max_size=120).map(" ".join),
+                min_size=1, max_size=8),
+       st.integers(min_value=1, max_value=7))
+def test_small_vocabulary_hilberg_batches_match_reference(batch, max_block):
+    assert_batch_matches(batch, max_block)

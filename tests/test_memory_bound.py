@@ -14,8 +14,9 @@ and codes the words of a run of segments at a time, so no string per word
 of the whole text is alive at once (about 8 MB today, 21 before);
 ``ebeling_series_many`` counts the runs of its position order a slice of
 whole character groups at a time (about 11 MB, 36 before); and
-``hilberg_series_many`` frees each temporary of a block size's sort as it
-dies (about 12 MB, 19 before).
+``hilberg_series_many`` sorts only the blocks whose prefix repeats and frees
+each temporary of a block size's sort as it dies (about 10 MB; 12 when it
+sorted every block, 19 before it freed them).
 
 ``ebeling_series_many`` keys each (text, character) pair by the rank of
 the character's code point among the batch's, so one astral letter in a

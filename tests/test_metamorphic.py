@@ -17,7 +17,21 @@ cannot see, and requires the law's series to stay the same bit for bit:
   so the ``ebeling`` series stays the same;
 * reversing the word order maps each block of mu words to its reverse, one
   to one, so every ``hilberg`` block count and entropy stays the same, the
-  entropies within 1e-12 relative, as they are summed in another order.
+  entropies within 1e-12 relative, as they are summed in another order;
+* repeating the text k times multiplies every word count by k and keeps the
+  ranks, so the ``zipf`` exponent stays the same within 1e-14 relative
+  (measured: at most 3.7e-16 for k = 2, 3 and 5), as only the intercept
+  of the log-log fit moves.
+
+Relations of the fluctuation analysis (Kantelhardt et al., Physica A 316,
+2002): the affine copy a·x + b of a series has the profile a times x's,
+as the mean is removed, so its F_q(s) is |a| times x's and its h(q) is
+the same, on every q of the grid. For 3,000 points of white noise, F_q(s)
+scaled within 1.6e-15 relative and h(q) moved by at most 1 ulp; the
+relation holds them to 1e-12. A random walk's profile sums values of up
+to about 100, so its windows' small residuals keep fewer exact digits:
+over six seeds its F_q(s) scaled within 1.2e-12 relative, which the
+relation holds to 1e-10, and its h(q) moved by at most 2.1e-13.
 
 The texts are four mock completions of about 180 words, on which taylor is
 not fittable, and four synthetic books of a few thousand words, on which
@@ -27,12 +41,15 @@ every law is.
 import random
 import string
 
+import numpy as np
 import pytest
 
 from tests.conftest import synth_book, token_stream
 from zgptda.augment import GenerationConfig, MockTransport
 from zgptda.corpus import Document, tokenize
-from zgptda.laws import build_all_many, ebeling_series, hilberg_series
+from zgptda.fitkit import fit_loglog
+from zgptda.laws import build_all_many, ebeling_series, hilberg_series, zipf_series
+from zgptda.mfdfa import DEFAULT_Q_GRID, ScalarSeries, run_mfdfa
 
 TEXTS = [MockTransport(seed).complete("prompt", GenerationConfig(), slot) for seed, slot in
          ((0, 0), (0, 1), (7, 3), (11, 9))] + [synth_book(seed, n_sentences=300) for seed in (1, 2, 3, 4)]
@@ -81,6 +98,15 @@ def test_repetition_keeps_benford_and_menzerath(text, k):
     assert series(repeated, laws) == series(text, laws)
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("text", TEXTS, ids=range(len(TEXTS)))
+def test_repetition_keeps_zipf_exponent(text, k):
+    def exponent(t):
+        return fit_loglog(zipf_series(tokenize(Document(id="t", text=t)))).exponent
+
+    assert exponent(". ".join([text] * k)) == pytest.approx(exponent(text), rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("text", TEXTS, ids=range(len(TEXTS)))
 def test_character_reversal_keeps_ebeling(text):
     chars = tokenize(Document(id="t", text=text)).chars
@@ -101,3 +127,17 @@ def test_books_fit_every_law():
     # the relations above are checked on fittable series, not only on details
     for text in TEXTS[4:]:
         assert all(r.series is not None for r in build_all_many([tokenize(Document(id="t", text=text))])[0])
+
+
+@pytest.mark.parametrize("walk, rel", [(False, 1e-12), (True, 1e-10)], ids=["noise", "walk"])
+def test_affine_copy_scales_fluctuation_and_keeps_h(walk, rel):
+    x = np.random.default_rng(0).standard_normal(3000)
+    if walk:
+        x = np.cumsum(x)
+    fluct, spec = run_mfdfa(ScalarSeries(x, "x"))
+    fluct_ab, spec_ab = run_mfdfa(ScalarSeries(3.7 * x + 11, "ax+b"))
+    assert fluct.q_grid.tolist() == fluct_ab.q_grid.tolist() == DEFAULT_Q_GRID.tolist()
+    assert spec.q_grid.tolist() == spec_ab.q_grid.tolist() == DEFAULT_Q_GRID.tolist()
+    assert fluct_ab.values.ravel().tolist() == pytest.approx((3.7 * fluct.values).ravel().tolist(),
+                                                             rel=rel, abs=0)
+    assert spec_ab.h.tolist() == pytest.approx(spec.h.tolist(), rel=0, abs=1e-12)

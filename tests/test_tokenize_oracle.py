@@ -96,8 +96,11 @@ def assert_matches_reference(text):
 # letters that case-fold to several characters (ß, ﬁ, İ), a final sigma,
 # a titlecase digraph, a combining mark, an astral letter, non-decimal
 # numerals that the word pattern matches but isalpha rejects (², ½, Ⅻ),
-# decimal digits and the underscore, which split words
-ALPHABET = "aBzΣσßﬁİǅ́𝐀²½Ⅻ09_ .!?,\n"
+# decimal digits and the underscore, which split words; whitespace other
+# than the space that str.split splits on, a zero-width space that is
+# neither whitespace nor alphanumeric, a non-ASCII decimal digit, a
+# feminine ordinal letter, and the fullwidth ！ and 。, which end no sentence
+ALPHABET = "aBzΣσßﬁİǅ́𝐀²½Ⅻ09_ .!?,\n\x1c\x85\xa0\u2028\u3000\u200b٣ª！。"
 EDGE_TEXTS = [
     "",
     "0123 456.",
@@ -116,6 +119,15 @@ EDGE_TEXTS = [
     "Wait... what?! Yes!!! no?.",
     "Price x² is ½ of Ⅻ.",
     "Straße ﬁne. Strasse fine.",
+    "a\x1cb\x85c\xa0d\u2028e\u3000f",
+    "zero\u200bwidth\u200b space",
+    "x٣y ٣٣ z٣",
+    "ªb ª",
+    "Wide！ stops。 are not ends. Next",
+    "End?!.",
+    "One?!.two.?!three",
+    "Runs ?!. inside ?!. and at the end?!.",
+    "a?!.",
 ]
 
 
