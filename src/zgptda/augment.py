@@ -12,6 +12,7 @@ recorded generations; live completions are nondeterministic and priced.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -144,6 +145,12 @@ def request_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+@functools.lru_cache(maxsize=64)
+def _hash_of(prompt: str, model: str, temperature: str) -> str:
+    """``request_hash(request_payload(prompt, cfg))``, all of cfg the payload holds; memoized per request."""
+    return request_hash(request_payload(prompt, GenerationConfig(model=model, temperature=temperature)))
+
+
 class Transport:
     """Produces one completion per call. ``slot`` is the 0-based instance
     index within a generation batch; deterministic transports use it to vary
@@ -189,7 +196,7 @@ class MockTransport(Transport):
         self.transport_id = f"mock:{seed}"
 
     def complete(self, prompt: str, cfg: GenerationConfig, slot: int = 0) -> str:
-        h = request_hash(request_payload(prompt, cfg))
+        h = _hash_of(prompt, cfg.model, cfg.temperature)
         digest = hashlib.blake2b(
             f"{self.seed}|{h}|{slot}".encode("utf-8"), digest_size=8
         ).digest()
@@ -237,7 +244,7 @@ class ReplayTransport(Transport):
             self._by_hash.setdefault(h, []).append(completion)
 
     def complete(self, prompt: str, cfg: GenerationConfig, slot: int = 0) -> str:
-        h = request_hash(request_payload(prompt, cfg))
+        h = _hash_of(prompt, cfg.model, cfg.temperature)
         recorded = self._by_hash.get(h, [])
         if slot >= len(recorded):
             raise TransportError(
@@ -330,7 +337,7 @@ class RecordingTransport(Transport):
         self._records: dict[tuple[str, int], str] = {}
 
     def complete(self, prompt: str, cfg: GenerationConfig, slot: int = 0) -> str:
-        h = request_hash(request_payload(prompt, cfg))
+        h = _hash_of(prompt, cfg.model, cfg.temperature)
         completion = self.inner.complete(prompt, cfg, slot=slot)
         self._records[(h, slot)] = completion
         return completion

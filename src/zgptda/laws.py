@@ -53,8 +53,6 @@ TAYLOR_SEGMENT_LEN = 100
 HILBERG_MAX_BLOCK = 6
 # fewest windows of the longest ebeling window length
 EBELING_MIN_WINDOWS = 8
-# cells of the taylor count table held as float64 at a time
-_BLOCK_CELLS = 2 ** 18
 # positions of ebeling's position order whose runs are counted at a time
 _EBELING_SLICE = 2 ** 16
 
@@ -139,6 +137,11 @@ def taylor_series(ts: TokenStream, segment_len: int = TAYLOR_SEGMENT_LEN) -> Emp
     at least 2 segments, the mean and population standard deviation of its
     per-segment counts (zeros included) form one point; points sharing a mean
     are aggregated by averaging their stds so x stays strictly increasing.
+
+    A type's mean is S / n and its variance (n·Q − S²) / n², S and Q the sums
+    of its counts and squared counts. n·Q, S² and n² are at most N², N the
+    words counted, so while N² < 2**53 (about 94.9 M words) both quotients are
+    correctly rounded, and the std is the correctly rounded root of the variance.
     """
     if segment_len < 1:
         raise ValueError("segment_len must be >= 1")
@@ -146,27 +149,16 @@ def taylor_series(ts: TokenStream, segment_len: int = TAYLOR_SEGMENT_LEN) -> Emp
     if n_segments < 3:
         raise NotFittable(f"taylor: {n_segments} full segments, need 3")
     codes = ts.codes[: n_segments * segment_len]
-    # the nonzero cells of the type x segment count table, in row-major order
-    cells, counts = np.unique(codes * n_segments + np.arange(codes.size) // segment_len,
-                              return_counts=True)
-    types = cells // n_segments
-    # one row per type present in 2 or more segments, in ascending code order
-    # (by first occurrence), filled into one buffer a block of rows at a time
-    kept = np.bincount(types) >= 2
-    mine = kept[types]
-    flat, counts = (np.cumsum(kept) - 1)[types[mine]] * n_segments + cells[mine] % n_segments, counts[mine]
-    total, size = int(np.count_nonzero(kept)) * n_segments, max(1, _BLOCK_CELLS // n_segments) * n_segments
-    edges = np.searchsorted(flat, np.arange(0, total + size, size)).tolist()
-    buffer = np.empty(min(size, total))
+    # the nonzero cells of the type x segment count table in row-major order, so by type code
+    cells, counts = np.unique(codes * n_segments + np.arange(codes.size) // segment_len, return_counts=True)
+    starts = np.flatnonzero(np.diff(cells // n_segments, prepend=-1))
+    # the types present in 2 or more segments, and their sums S and Q
+    kept = np.diff(starts, append=cells.size) >= 2
+    s, q = np.add.reduceat(counts, starts)[kept], np.add.reduceat(counts * counts, starts)[kept]
     by_mean: dict[float, list[float]] = {}
-    for k, lo in enumerate(range(0, total, size)):
-        block = buffer[: min(size, total - lo)]
-        block.fill(0.0)
-        block[flat[edges[k] : edges[k + 1]] - lo] = counts[edges[k] : edges[k + 1]]
-        # each row's mean and std are reduced along the row, as for a single row
-        block = block.reshape(-1, n_segments)
-        for mean, std in zip(block.mean(axis=1).tolist(), block.std(axis=1).tolist()):
-            by_mean.setdefault(mean, []).append(std)
+    for mean, std in zip((s / n_segments).tolist(),
+                         np.sqrt((n_segments * q - s * s) / (n_segments * n_segments)).tolist()):
+        by_mean.setdefault(mean, []).append(std)
     if not by_mean:
         raise NotFittable("taylor: no word type occurs in 2 or more segments")
     xs = np.array(sorted(by_mean), dtype=float)

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from zgptda import augment
 from zgptda.augment import (
     ALL_LAWS,
     GenerationConfig,
@@ -155,6 +156,27 @@ class TestReplay:
         cfg_a = GenerationConfig(model="gpt-4")
         cfg_b = GenerationConfig(model="gpt-4o")
         assert request_hash(request_payload("p", cfg_a)) != request_hash(request_payload("p", cfg_b))
+
+    def test_each_distinct_request_hashed_once(self, tmp_path, monkeypatch):
+        hashed = []
+        monkeypatch.setattr(augment, "request_hash", lambda payload: hashed.append(payload) or request_hash(payload))
+        augment._hash_of.cache_clear()
+        raws = [Document(id=f"r{k}", text=f"raw text {k}") for k in range(3)]
+        configs = [GenerationConfig(n_instances=4, seed=3), GenerationConfig(n_instances=4, seed=3, temperature="0.5"),
+                   GenerationConfig(n_instances=4, seed=3, model="other")]
+        recorder = RecordingTransport(MockTransport(seed=3))
+        for cfg in configs:
+            for raw in raws + raws[:1]:
+                generate_instances(raw, cfg, recorder)
+        record_file = tmp_path / "gens.jsonl"
+        recorder.dump(record_file)
+        for cfg in configs:
+            for raw in raws:
+                generate_instances(raw, cfg, ReplayTransport(record_file))
+        # 9 distinct requests, asked for 132 times by the recorder, its mock and the replay
+        assert len(hashed) == 9
+        recorded = [json.loads(line)["request_hash"] for line in record_file.read_text().splitlines()]
+        assert sorted(recorded) == sorted(request_hash(payload) for payload in hashed for _slot in range(4))
 
 
 class TestLiveTransport:

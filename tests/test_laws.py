@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tests.conftest import synth_book, token_stream
 from tests.test_laws_oracle import assert_matches_reference
-from zgptda import laws
 from zgptda.corpus import Document, TokenStream, tokenize
 from zgptda.fitkit import NotFittable, fit_loglog
 from zgptda.laws import (
@@ -124,12 +123,9 @@ class TestTaylor:
         assert np.all(s.y <= s.x * math.sqrt(n_segments - 1) + 1e-9)
 
 
-@pytest.mark.parametrize("block_cells", [1, 100])
 @pytest.mark.parametrize("segment_len", [7, 20])
-def test_small_blocks_match_reference(monkeypatch, block_cells, segment_len):
-    # taylor walks its count table a block at a time; blocks of one row and
-    # of a few rows, with a short last block, change no bit
-    monkeypatch.setattr(laws, "_BLOCK_CELLS", block_cells)
+def test_small_blocks_match_reference(segment_len):
+    # short segments: hundreds of them, and most types in several
     assert_matches_reference(synth_book(seed=7, n_sentences=120), segment_len, max_block=2)
 
 

@@ -5,7 +5,10 @@ one word at a time. Every series the library builds must equal theirs byte
 for byte, and every ``NotFittable`` detail must read the same. The
 character-variance reference sums the variances as exact fractions and
 rounds once; the earlier float reference, which summed squared deviations
-in float64, must agree with it to a relative 1e-9.
+in float64, must agree with it to a relative 1e-9. The count-variance
+reference takes each type's variance as an exact fraction and rounds it
+once before the square root; the earlier float reference, the std of a
+dense float64 row of counts, must agree with it to a relative 1e-12.
 """
 
 import math
@@ -53,7 +56,9 @@ def ref_heaps(ts):
     return EmpiricalSeries(np.array(xs, dtype=float), np.array(ys, dtype=float), law="heaps")
 
 
-def ref_taylor(ts, segment_len):
+def taylor_points(ts, segment_len, point):
+    """Taylor's series with `point(segment counts, n_segments)` giving the
+    (mean, std) of each type present in 2 or more segments."""
     words = ts.words
     n_segments = len(words) // segment_len
     if n_segments < 3:
@@ -68,13 +73,33 @@ def ref_taylor(ts, segment_len):
     for word, n_present in presence.items():
         if n_present < 2:
             continue
-        counts = np.array([seg.get(word, 0) for seg in per_segment], dtype=float)
-        by_mean.setdefault(float(counts.mean()), []).append(float(counts.std()))
+        mean, std = point([seg.get(word, 0) for seg in per_segment], n_segments)
+        by_mean.setdefault(mean, []).append(std)
     if not by_mean:
         raise NotFittable("taylor: no word type occurs in 2 or more segments")
     xs = np.array(sorted(by_mean), dtype=float)
     ys = np.array([np.mean(by_mean[x]) for x in xs], dtype=float)
     return EmpiricalSeries(xs, ys, law="taylor")
+
+
+def exact_point(counts, n_segments):
+    # the population variance of the counts, Q / n - (S / n)^2, exact, rounded once
+    mean = Fraction(sum(counts), n_segments)
+    var = Fraction(sum(c * c for c in counts), n_segments) - mean ** 2
+    return float(mean), math.sqrt(float(var))
+
+
+def float_point(counts, n_segments):
+    counts = np.array(counts, dtype=float)
+    return float(counts.mean()), float(counts.std())
+
+
+def ref_taylor(ts, segment_len):
+    return taylor_points(ts, segment_len, float_point)
+
+
+def exact_taylor(ts, segment_len):
+    return taylor_points(ts, segment_len, exact_point)
 
 
 def ref_hilberg(ts, max_block):
@@ -154,7 +179,7 @@ def pairs(segment_len, max_block):
     return [
         (zipf_series, ref_zipf),
         (heaps_series, ref_heaps),
-        (lambda ts: taylor_series(ts, segment_len), lambda ts: ref_taylor(ts, segment_len)),
+        (lambda ts: taylor_series(ts, segment_len), lambda ts: exact_taylor(ts, segment_len)),
         (lambda ts: hilberg_series(ts, max_block), lambda ts: ref_hilberg(ts, max_block)),
         (ebeling_series, exact_ebeling),
         (menzerath_series, ref_menzerath),
@@ -176,6 +201,18 @@ def assert_matches_reference(text, segment_len=100, max_block=6):
         expected = outcome(reference, ts)
         assert outcome(build, ts) == expected
     assert_close_to_float_ebeling(ts)
+    assert_close_to_float_taylor(ts, segment_len)
+
+
+def assert_close_to_float_taylor(ts, segment_len):
+    try:
+        expected = ref_taylor(ts, segment_len)
+    except NotFittable:
+        return  # the exact reference has compared the detail
+    got = taylor_series(ts, segment_len)
+    assert got.x.tobytes() == expected.x.tobytes()
+    for a, b in zip(got.y.tolist(), expected.y.tolist()):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
 
 
 def assert_close_to_float_ebeling(ts):

@@ -5,7 +5,10 @@ cannot see, and requires the law's series to stay the same bit for bit:
 
 * relabelling the letters a-z by a fixed permutation, on lowercased texts,
   changes no count of words, blocks, characters or lengths, so all seven
-  token-level series stay the same;
+  token-level series stay the same; with a ``FileVectorEmbedder`` that gives
+  both texts the same vectors, the whole ``score_instances`` result stays
+  the same too: every law's exponent and metrics, the Z-number and the
+  suitability (the hashed embedder sees the letters, so it is left out);
 * reversing the order of the sentences keeps every word count, every
   sentence length and the words of each sentence, so ``zipf``, ``benford``
   and ``menzerath`` stay the same;
@@ -35,9 +38,11 @@ relation holds to 1e-10, and its h(q) moved by at most 2.1e-13.
 
 The texts are four mock completions of about 180 words, on which taylor is
 not fittable, and four synthetic books of a few thousand words, on which
-every law is.
+every law is; the whole score is checked on a batch of eight mock
+completions and two of the books.
 """
 
+import json
 import random
 import string
 
@@ -45,11 +50,11 @@ import numpy as np
 import pytest
 
 from tests.conftest import synth_book, token_stream
-from zgptda.augment import GenerationConfig, MockTransport
+from zgptda.augment import GenerationConfig, MockTransport, score_instances
 from zgptda.corpus import Document, tokenize
 from zgptda.fitkit import fit_loglog
 from zgptda.laws import build_all_many, ebeling_series, hilberg_series, zipf_series
-from zgptda.mfdfa import DEFAULT_Q_GRID, ScalarSeries, run_mfdfa
+from zgptda.mfdfa import DEFAULT_Q_GRID, FileVectorEmbedder, ScalarSeries, run_mfdfa
 
 TEXTS = [MockTransport(seed).complete("prompt", GenerationConfig(), slot) for seed, slot in
          ((0, 0), (0, 1), (7, 3), (11, 9))] + [synth_book(seed, n_sentences=300) for seed in (1, 2, 3, 4)]
@@ -127,6 +132,31 @@ def test_books_fit_every_law():
     # the relations above are checked on fittable series, not only on details
     for text in TEXTS[4:]:
         assert all(r.series is not None for r in build_all_many([tokenize(Document(id="t", text=text))])[0])
+
+
+def scored(instance):
+    """Everything a scored instance reports, floats by their repr."""
+    fits = [(r.law, r.detail, *((r.fit.exponent, r.fit.prefactor, r.fit.secondary_exponent, r.fit.metrics,
+                                 r.fit.fitted_y.tobytes()) if r.fit else ())) for r in instance.law_reports]
+    return repr((instance.instance.id, instance.suitability, instance.z, fits))
+
+
+def test_letter_relabelling_keeps_the_whole_score(tmp_path):
+    texts = [MockTransport(0).complete("prompt", GenerationConfig(), slot).lower() for slot in range(8)]
+    texts += [text.lower() for text in TEXTS[4:6]]
+    docs = [Document(id=f"t{k}", text=text) for k, text in enumerate(texts)]
+    relabelled = [Document(id=doc.id, text=doc.text.translate(RELABEL)) for doc in docs]
+    # one vector per word: as many as the units of either text, whichever kind build_series takes
+    rng = np.random.default_rng(9)
+    vectors = tmp_path / "vectors.jsonl"
+    vectors.write_text("".join(
+        json.dumps({"id": doc.id, "unit_index": k, "vector": rng.normal(size=4).tolist()}) + "\n"
+        for doc in docs for k in range(tokenize(doc).codes.size)))
+    embedder = FileVectorEmbedder(vectors)
+    original = score_instances(docs, embedder=embedder)
+    assert all(r.fittable for instance in original for r in instance.law_reports if r.law == "mandelbrot")
+    assert len({instance.suitability.s for instance in original}) > 1
+    assert list(map(scored, score_instances(relabelled, embedder=embedder))) == list(map(scored, original))
 
 
 @pytest.mark.parametrize("walk, rel", [(False, 1e-12), (True, 1e-10)], ids=["noise", "walk"])
