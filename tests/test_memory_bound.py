@@ -3,11 +3,12 @@
 ``tracemalloc`` counts NumPy's array buffers as well as Python objects, so
 its peak over one call is the call's own working memory; the inputs are
 built before tracing starts. The embedder holds one block of units at a
-time, so its peak does not grow with the corpus. taylor's count table is
-filled one block of types at a time, so its peak grows only by the few
-int64 arrays of one entry per word it sorts. Each bound leaves room above
-what the step needs today (about 6 and 9 MB); the steps before blocking
-needed about 75 and 35 MB on these inputs.
+time, so its peak does not grow with the corpus. taylor sums over the
+nonzero cells of its count table and holds no dense table, so its peak is
+the few int64 arrays of one entry per word it sorts. Each bound leaves
+room above what the step needs today (about 6 and 7 MB; taylor took 9
+when it filled its table a block of types at a time); the steps before
+blocking needed about 75 and 35 MB on these inputs.
 
 On the book of 217,639 words and 787,697 letters below, ``tokenize`` finds
 and codes the words of a run of segments at a time, so no string per word
