@@ -148,8 +148,8 @@ class TestOutputsPinned:
         assert tree_sha256(out, grid) == COMPARE_SHA256
 
 
-ANALYZE_SHA256 = "b533f20b3915d4e26f7559f708427c3579e5c8c5d1d4277167c61db93c39fee7"
-COMPARE_SHA256 = "98cbe16f43d8371c9f914e1de28be0396553b7fec1a1295c45b4354f8aabc2f2"
+ANALYZE_SHA256 = "44805e4613074a9832551bcb5aaa839f5866dec0d764ef939590e15855386228"
+COMPARE_SHA256 = "e598b241feb8f13328058958fbada8c97afb0aa42974fe508d3755853cc28042"
 
 
 class TestCompare:
