@@ -280,34 +280,39 @@ class LiveTransport(Transport):
         self.transport_id = f"live:{endpoint}"
 
     def complete(self, prompt: str, cfg: GenerationConfig, slot: int = 0) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        payload = request_payload(prompt, cfg)
-        headers = {"Content-Type": "application/json"}
+        body = json.dumps(request_payload(prompt, cfg)).encode("utf-8")
+        req = urllib.request.Request(self.endpoint, body, {"Content-Type": "application/json"}, method="POST")
         if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+            req.add_header("Authorization", f"Bearer {self.api_key}")
         last_error = None
         for attempt in range(self.MAX_RETRIES + 1):
             if attempt:
                 time.sleep(self.BACKOFF_S * 2 ** (attempt - 1))
             try:
-                resp = requests.post(
-                    self.endpoint, json=payload, headers=headers, timeout=self.TIMEOUT_S
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                try:
+                    resp = urllib.request.urlopen(req, timeout=self.TIMEOUT_S)
+                except urllib.error.HTTPError as exc:  # a status not 2xx; also an OSError
+                    resp = exc
+                with resp:
+                    status, text = resp.status, resp.read().decode("utf-8", "replace")
+            except (http.client.InvalidURL, ValueError) as exc:  # InvalidURL is an HTTPException
+                raise TransportError(f"request failed: {exc}") from exc
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            except requests.RequestException as exc:
-                raise TransportError(f"request failed: {exc}") from exc
-            if resp.status_code in self.RETRYABLE_STATUS:
-                last_error = TransportError(f"HTTP {resp.status_code}")
+            if status in self.RETRYABLE_STATUS:
+                last_error = TransportError(f"HTTP {status}")
                 continue
-            if resp.status_code != 200:
-                raise TransportError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            if status != 200:
+                raise TransportError(f"HTTP {status}: {text[:200]}")
             try:
-                return self._extract(resp.json())
+                return self._extract(json.loads(text))
             except ValueError as exc:
-                raise TransportError(f"HTTP 200 body is not JSON: {resp.text[:200]!r}") from exc
+                raise TransportError(f"HTTP 200 body is not JSON: {text[:200]!r}") from exc
         raise TransportError(f"transport exhausted after {self.MAX_RETRIES + 1} attempts") from last_error
 
     @staticmethod
@@ -522,7 +527,16 @@ def augmentation_runs(
     On transport exhaustion the failing example's partial instances are still
     scored and its run, marked partial, is yielded; then the
     :class:`PartialGeneration` is raised.
+
+    Raises:
+        ValueError: a raw example's id is that of another's instance, found
+            before the transport is called.
     """
+    ids = {raw.id for raw in raws}
+    for raw in raws:
+        for gen_id in (f"{raw.id}#gen{k}" for k in range(1, cfg.n_instances + 1)):
+            if gen_id in ids:
+                raise ValueError(f"duplicate output id {gen_id!r}: a raw id and an instance of {raw.id!r}")
     # (raw, instance count) of the runs not yet yielded, and the scored
     # instances of their first ones
     pending, scored, batch, size = [], [], [], 0

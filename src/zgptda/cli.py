@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .augment import (
+    ALL_LAWS,
     API_KEY_ENV,
     DEFAULT_PROMPT,
     SCHEMA_VERSION,
@@ -38,7 +39,7 @@ from .augment import (
 )
 from .corpus import LoadError, load_jsonl
 from .laws import HILBERG_MAX_BLOCK, TAYLOR_SEGMENT_LEN
-from .mfdfa import FileVectorEmbedder, ProviderError
+from .mfdfa import DEFAULT_Q_GRID, FileVectorEmbedder, ProviderError
 from .zscore import describe_rulebase
 
 EXIT_OK = 0
@@ -92,6 +93,9 @@ def _shared_path(args) -> str | None:
     outputs = [(flag, given[dest]) for flag, dest in _OUTPUTS if given.get(dest)]
     if given.get("out"):
         outputs.append(("the manifest of --out", f"{given['out']}.manifest.json"))
+    if given.get("series_csv"):
+        outputs += [("--series-csv", _series_csv_path(given["series_csv"], key))
+                    for key in (*ALL_LAWS, *DEFAULT_Q_GRID)]
     # each is written through a temporary file beside it, augment's --out and
     # --scores at once
     outputs += [(f"the temporary file of {flag}", f"{path}.tmp") for flag, path in outputs]
@@ -114,6 +118,11 @@ def _embedder(args):
     return None
 
 
+def _series_csv_path(out_dir, key) -> str:
+    """The file --series-csv writes for a law's name, or for a q's F_q(s)."""
+    return os.path.join(out_dir, f"{key}.csv" if isinstance(key, str) else f"fq_q{float(key):+.1f}.csv")
+
+
 def _series_csv(ev, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     for report in ev.reports:
@@ -123,16 +132,14 @@ def _series_csv(ev, out_dir):
         lines = ["x,y,fitted"]
         for x, y, f in zip(report.series.x, report.series.y, fitted):
             lines.append(f"{float(x)},{float(y)},{float(f) if f != '' else ''}")
-        atomic_write_text(os.path.join(out_dir, f"{report.law}.csv"), "\n".join(lines) + "\n")
+        atomic_write_text(_series_csv_path(out_dir, report.law), "\n".join(lines) + "\n")
     if ev.spectrum is not None:
         s = ev.spectrum
         for i, q in enumerate(s.q_grid):
             lines = ["s,F"]
             for scale, value in zip(s.scales, s.fluctuation[i]):
                 lines.append(f"{int(scale)},{float(value)}")
-            atomic_write_text(
-                os.path.join(out_dir, f"fq_q{float(q):+.1f}.csv"), "\n".join(lines) + "\n"
-            )
+            atomic_write_text(_series_csv_path(out_dir, q), "\n".join(lines) + "\n")
 
 
 def cmd_analyze(args) -> int:

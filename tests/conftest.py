@@ -8,8 +8,12 @@ eight laws to produce fittable series at book scale.
 """
 
 import bisect
+import http.server
+import json
 import math
+import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -97,8 +101,6 @@ def book_b() -> Document:
 
 def make_raw_dataset(path, n: int = 5, seed: int = 3):
     """Small JSONL dataset of hazard-report-flavored raw examples."""
-    import json
-
     rng = random.Random(seed)
     nouns = ["pump", "valve", "tank", "pressure", "seal", "leak", "flow", "cooling",
              "system", "alarm", "unit", "line", "vessel", "gas", "steam", "pipe",
@@ -113,3 +115,77 @@ def make_raw_dataset(path, n: int = 5, seed: int = 3):
                 {"id": f"r{i}", "text": " ".join(sents), "label": str(i % 3)}
             ) + "\n")
     return path
+
+
+class LoopbackEndpoint:
+    """A chat-completion endpoint on 127.0.0.1 that answers each request
+    with the next of ``replies``.
+
+    A reply is a status (200 carries a completion, any other the body
+    ``status N``), a ``(status, body)`` pair, :attr:`DROP` to close the
+    connection unanswered, or :attr:`STALL` to send nothing until the
+    endpoint is closed. Each request is kept in :attr:`requests` as
+    ``(method, path, headers, body)``; the :func:`loopback` fixture keeps
+    the transport's backoff sleeps in :attr:`sleeps`.
+    """
+
+    DROP, STALL = "drop", "stall"
+    COMPLETION = json.dumps({"choices": [{"message": {"content": "a paraphrase"}}]})
+
+    def __init__(self):
+        self.replies: list = []
+        self.requests: list[tuple[str, str, dict, bytes]] = []
+        self.sleeps: list[float] = []
+        self._lock = threading.Lock()
+        self._closed = threading.Event()
+        endpoint = self
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+                with endpoint._lock:  # the transport may send several requests at once
+                    endpoint.requests.append((self.command, self.path, dict(self.headers), body))
+                    reply = endpoint.replies.pop(0) if endpoint.replies else (418, "no reply scripted")
+                if reply == endpoint.STALL:
+                    endpoint._closed.wait(10)
+                if reply in (endpoint.DROP, endpoint.STALL):
+                    self.close_connection = True
+                    return
+                status, text = reply if isinstance(reply, tuple) else (
+                    reply, endpoint.COMPLETION if reply == 200 else f"status {reply}")
+                data = text.encode("utf-8")
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+
+            do_GET = do_POST
+
+            def log_message(self, *args):
+                pass
+
+        self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._server.server_port}/v1/chat/completions"
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True)
+        self._thread.start()
+
+    def close(self):
+        self._closed.set()
+        self._server.shutdown()
+        self._server.server_close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    """A :class:`LoopbackEndpoint` reached with no proxy and no API key; the
+    transport's backoff sleeps are recorded in its ``sleeps``, not slept."""
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    monkeypatch.delenv("ZGPTDA_API_KEY", raising=False)
+    endpoint = LoopbackEndpoint()
+    monkeypatch.setattr("zgptda.augment.time.sleep", endpoint.sleeps.append)
+    yield endpoint
+    endpoint.close()

@@ -1,7 +1,11 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -180,91 +184,84 @@ class TestReplay:
 
 
 class TestLiveTransport:
-    """The retry loop against a stubbed ``requests.post``; nothing leaves the process."""
+    """The retry loop against a loopback endpoint; nothing leaves the host."""
 
-    @pytest.fixture
-    def post(self, monkeypatch):
-        """Answer each POST with the next of the given replies (an HTTP
-        status, or an exception to raise); return the recorded sleeps."""
-        import requests
+    def complete(self, endpoint):
+        return LiveTransport(endpoint).complete("p", GenerationConfig())
 
-        class Response:
-            def __init__(self, status):
-                self.status_code = status
-                self.text = f"status {status}"
+    @pytest.mark.parametrize("api_key", [None, "sk-test"])
+    def test_request_on_the_wire(self, loopback, monkeypatch, api_key):
+        if api_key:
+            monkeypatch.setenv("ZGPTDA_API_KEY", api_key)
+        loopback.replies = [503, 200]
+        assert self.complete(loopback.url) == "a paraphrase"
+        assert len(loopback.requests) == 2
+        for method, path, headers, body in loopback.requests:
+            assert (method, path) == ("POST", "/v1/chat/completions")
+            assert json.loads(body) == request_payload("p", GenerationConfig())
+            assert headers["Content-Type"] == "application/json"
+            assert headers.get("Authorization") == (f"Bearer {api_key}" if api_key else None)
 
-            def json(self):
-                return {"choices": [{"message": {"content": "a paraphrase"}}]}
+    def test_retryable_status_retried_with_backoff(self, loopback):
+        loopback.replies = [503, 503, 200]
+        assert self.complete(loopback.url) == "a paraphrase"
+        assert loopback.sleeps == [0.5, 1.0]
+        assert loopback.replies == []
 
-        def install(*replies):
-            pending = list(replies)
+    def test_request_exception_retried(self, loopback):
+        loopback.replies = [loopback.DROP, 200]
+        assert self.complete(loopback.url) == "a paraphrase"
+        assert loopback.sleeps == [0.5]
 
-            def fake_post(*args, **kwargs):
-                reply = pending.pop(0)
-                if isinstance(reply, Exception):
-                    raise reply
-                return Response(reply)
+    def test_client_error_raises_at_once(self, loopback):
+        loopback.replies = [400, 200]
+        with pytest.raises(TransportError, match="HTTP 400: status 400"):
+            self.complete(loopback.url)
+        assert loopback.sleeps == []
+        assert loopback.replies == [200]
 
-            monkeypatch.setattr(requests, "post", fake_post)
-            return pending
+    def test_unretryable_request_error_raises_at_once(self, loopback):
+        import http.client
 
-        sleeps = []
-        monkeypatch.setattr("zgptda.augment.time.sleep", sleeps.append)
-        return install, sleeps
-
-    def complete(self):
-        return LiveTransport("http://localhost:9/v1").complete("p", GenerationConfig())
-
-    def test_retryable_status_retried_with_backoff(self, post):
-        install, sleeps = post
-        pending = install(503, 503, 200)
-        assert self.complete() == "a paraphrase"
-        assert sleeps == [0.5, 1.0]
-        assert pending == []
-
-    def test_request_exception_retried(self, post):
-        import requests
-
-        install, sleeps = post
-        install(requests.ConnectionError("refused"), 200)
-        assert self.complete() == "a paraphrase"
-        assert sleeps == [0.5]
-
-    def test_client_error_raises_at_once(self, post):
-        install, sleeps = post
-        pending = install(400, 200)
-        with pytest.raises(TransportError, match="HTTP 400"):
-            self.complete()
-        assert sleeps == []
-        assert pending == [200]
-
-    def test_unretryable_request_error_raises_at_once(self, post):
-        import requests
-
-        install, sleeps = post
-        bad = requests.exceptions.InvalidURL("Failed to parse")
-        pending = install(bad, 200)
+        loopback.replies = [200]
         with pytest.raises(TransportError, match="request failed") as exc_info:
-            self.complete()
-        assert exc_info.value.__cause__ is bad
-        assert sleeps == []
-        assert pending == [200]
+            self.complete(loopback.url + " x")  # a space is no URL character
+        assert isinstance(exc_info.value.__cause__, http.client.InvalidURL)
+        assert loopback.sleeps == []
+        assert loopback.replies == [200]
+
+    def test_urllib_loaded_by_the_first_request_and_requests_never(self, loopback):
+        # in a fresh interpreter where importing requests fails
+        code = "\n".join([
+            "import sys",
+            "sys.modules['requests'] = None",
+            "import zgptda.cli",
+            "loaded = [m for m in ('urllib.request', 'http.client') if m in sys.modules]",
+            "assert loaded == [], loaded",
+            "from zgptda.augment import GenerationConfig, LiveTransport",
+            f"print(LiveTransport({loopback.url!r}).complete('p', GenerationConfig()))",
+            "assert 'urllib.request' in sys.modules and sys.modules['requests'] is None",
+        ])
+        loopback.replies = [200]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "a paraphrase\n"
+        assert len(loopback.requests) == 1
 
     @pytest.mark.parametrize("endpoint", ["localhost:9/v1", "ftp://localhost/v1", "http:///v1", ""])
     def test_endpoint_needs_http_scheme_and_host(self, endpoint):
         with pytest.raises(ValueError, match="is not an http\\(s\\) URL with a host"):
             LiveTransport(endpoint)
 
-    def test_exhausted_after_four_attempts(self, post):
-        import requests
-
-        install, sleeps = post
-        last = requests.Timeout("read timed out")
-        install(503, 429, requests.ConnectionError("refused"), last)
+    def test_exhausted_after_four_attempts(self, loopback, monkeypatch):
+        monkeypatch.setattr(LiveTransport, "TIMEOUT_S", 0.2)
+        loopback.replies = [503, 429, loopback.DROP, loopback.STALL]
         with pytest.raises(TransportError, match="transport exhausted after 4 attempts") as exc_info:
-            self.complete()
-        assert exc_info.value.__cause__ is last
-        assert sleeps == [0.5, 1.0, 2.0]
+            self.complete(loopback.url)
+        assert isinstance(exc_info.value.__cause__, TimeoutError)
+        assert loopback.sleeps == [0.5, 1.0, 2.0]
 
 
 class TestGenerateInstances:

@@ -112,6 +112,21 @@ class TestAnalyze:
         assert not out.exists()
         assert (tmp_path / "file.txt").read_text(encoding="utf-8") == "kept\n"
 
+    @pytest.mark.parametrize("out, data, message", [
+        ("csv/zipf.csv", "raw.jsonl", "--out and --series-csv name one file"),
+        ("csv/r.json", "csv/fq_q-0.5.csv", "--series-csv and input name one file"),
+        ("csv/benford.csv.tmp", "raw.jsonl", "--out and the temporary file of --series-csv name one file"),
+    ], ids=["the-out-file", "an-input", "a-temporary-file"])
+    def test_series_csv_file_named_by_another_flag_rejected_before_analysis(self, dataset, tmp_path, out,
+                                                                             data, message, capsys):
+        (tmp_path / "csv").mkdir()
+        (tmp_path / "csv" / "fq_q-0.5.csv").write_bytes(dataset.read_bytes())
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        assert run(["analyze", tmp_path / data, "--out", tmp_path / out,
+                    "--series-csv", tmp_path / "csv"]) == 1
+        assert message in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
 
 def tree_sha256(*paths) -> str:
     """One digest over the bytes of every file under ``paths``, by sorted name."""
@@ -324,67 +339,36 @@ class TestAugment:
         assert run(["augment", dataset, *flags, "--out", out, "--scores", tmp_path / "s.json"]) == 1
         assert not out.exists()
 
-    def test_schemeless_endpoint_is_usage_error(self, dataset, tmp_path, monkeypatch, capsys):
-        # requests raises MissingSchema for an endpoint without a scheme; no
-        # retry can mend it, so it is rejected before any request is made
-        import requests
-
-        calls, sleeps = [], []
-
-        def fake_post(url, *args, **kwargs):
-            calls.append(url)
-            raise requests.exceptions.MissingSchema(f"Invalid URL {url!r}: No scheme supplied")
-
-        monkeypatch.setattr(requests, "post", fake_post)
-        monkeypatch.setattr("zgptda.augment.time.sleep", sleeps.append)
+    def test_schemeless_endpoint_is_usage_error(self, dataset, tmp_path, loopback, capsys):
+        # an endpoint without a scheme names no host to send to; no retry can
+        # mend it, so it is rejected before any request is made
+        host_and_path = loopback.url.removeprefix("http://")
+        loopback.replies = [200] * 8
         out = tmp_path / "a.jsonl"
-        assert run(["augment", dataset, "--transport", "live", "--endpoint", "localhost:9/v1",
+        assert run(["augment", dataset, "--transport", "live", "--endpoint", host_and_path,
                     "--n", "2", "--out", out, "--scores", tmp_path / "s.json"]) == 1
         assert "is not an http(s) URL with a host" in capsys.readouterr().err
-        assert calls == [] and sleeps == []
+        assert loopback.requests == [] and loopback.sleeps == []
         assert not out.exists()
 
-    @pytest.fixture
-    def non_json_200(self, monkeypatch):
-        """Every POST answers HTTP 200 with an HTML body; nothing leaves the process."""
-        import requests
-
-        class Response:
-            status_code = 200
-            text = "<html>gateway</html>"
-
-            def json(self):
-                raise requests.exceptions.JSONDecodeError("Expecting value", self.text, 0)
-
-        calls = []
-        monkeypatch.setattr(requests, "post", lambda *a, **kw: calls.append(a) or Response())
-        return calls
-
-    def test_non_json_body_is_transport_failure(self, dataset, tmp_path, non_json_200):
+    def test_non_json_body_is_transport_failure(self, dataset, tmp_path, loopback):
+        # every POST answers HTTP 200 with an HTML body
+        loopback.replies = [(200, "<html>gateway</html>")] * 8
         out = tmp_path / "a.jsonl"
-        argv = ["augment", dataset, "--transport", "live", "--endpoint", "http://localhost:9/v1",
+        argv = ["augment", dataset, "--transport", "live", "--endpoint", loopback.url,
                 "--n", "2", "--out", out, "--scores", tmp_path / "s.json"]
         assert run(argv) == 2
         assert not out.exists()
         assert run([*argv, "--keep-partial"]) == 2
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert [r["origin"] for r in records] == ["raw"] * 4
-        assert len(non_json_200) == 4  # one attempt per slot per run: not retried
+        assert len(loopback.requests) == 4  # one attempt per slot per run: not retried
+        assert loopback.sleeps == []
 
-
-    def test_null_completion_is_transport_failure(self, dataset, tmp_path, monkeypatch, capsys):
+    def test_null_completion_is_transport_failure(self, dataset, tmp_path, loopback, capsys):
         # chat APIs answer a refusal or a tool call with a null content
-        import requests
-
-        class Response:
-            status_code = 200
-            text = '{"choices": [{"message": {"content": null}}]}'
-
-            def json(self):
-                return json.loads(self.text)
-
-        monkeypatch.setattr(requests, "post", lambda *a, **kw: Response())
-        assert run(["augment", dataset, "--transport", "live", "--endpoint", "http://localhost:9/v1",
+        loopback.replies = [(200, '{"choices": [{"message": {"content": null}}]}')] * 8
+        assert run(["augment", dataset, "--transport", "live", "--endpoint", loopback.url,
                     "--n", "2", "--out", tmp_path / "a.jsonl", "--scores", tmp_path / "s.json"]) == 2
         assert "response carries no text completion" in capsys.readouterr().err
 
@@ -607,6 +591,20 @@ class TestAugmentStreamed:
         assert "duplicate output id 'a#gen1'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["raws.jsonl"]
 
+
+    def test_raw_id_of_an_instance_exit_1_before_any_completion(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        complete = MockTransport.complete
+        monkeypatch.setattr(MockTransport, "complete",
+                            lambda self, *a, **kw: calls.append(a) or complete(self, *a, **kw))
+        raws = tmp_path / "raws.jsonl"
+        raws.write_text("".join(json.dumps({"id": i, "text": "The pump failed."}) + "\n"
+                                for i in ("a#gen2", "b", "a")), encoding="utf-8")
+        assert run(["augment", raws, "--n", "2", "--fraction", "1", "--out", tmp_path / "a.jsonl",
+                    "--scores", tmp_path / "a.json", "--record-file", tmp_path / "rec.jsonl"]) == 1
+        assert "duplicate output id 'a#gen2': a raw id and an instance of 'a'" in capsys.readouterr().err
+        assert calls == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["raws.jsonl"]
 
 class TestUsage:
     @pytest.mark.parametrize("flag", ["--help", "--version"])
