@@ -275,7 +275,12 @@ class LiveTransport(Transport):
         url = urllib.parse.urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"endpoint {endpoint!r} is not an http(s) URL with a host")
-        self.endpoint = endpoint
+        # http.client sends the request line as ASCII: each other character
+        # of the path and query is percent-encoded as UTF-8, and ASCII, an
+        # encoded %XX too, is sent as given
+        ascii_chars = "".join(map(chr, range(128)))
+        self.endpoint = url._replace(path=urllib.parse.quote(url.path, ascii_chars),
+                                     query=urllib.parse.quote(url.query, ascii_chars)).geturl()
         self.api_key = os.environ.get(API_KEY_ENV)
         self.transport_id = f"live:{endpoint}"
 

@@ -19,7 +19,6 @@ from . import __version__
 from .augment import (
     ALL_LAWS,
     API_KEY_ENV,
-    DEFAULT_PROMPT,
     SCHEMA_VERSION,
     GenerationConfig,
     LiveTransport,
@@ -335,7 +334,10 @@ def cmd_augment(args) -> int:
     return EXIT_OK
 
 
-def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
+def _parsers():
+    """The command line's parser, and each command's flags: a parser of
+    those alone, raising ``argparse.ArgumentError`` on a bad value, and
+    their actions by name."""
     parser = argparse.ArgumentParser(
         prog="zgptda",
         description="Scaling-law conformity analysis and Z-number guided text augmentation",
@@ -346,105 +348,125 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         help="JSON file of flag defaults (keys are flag names with dashes as underscores)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: list[argparse.ArgumentParser] = []
+    commands: dict[str, tuple[argparse.ArgumentParser, dict[str, argparse.Action]]] = {}
 
-    def common_flags(p):
-        p.add_argument("--embeddings",
-                       help="JSONL file of precomputed unit vectors (default: built-in hashed embedder)")
+    def flags_of(name):
+        flags, actions = argparse.ArgumentParser(add_help=False, exit_on_error=False), {}
+        commands[name] = flags, actions
 
-    def law_flags(p):
-        p.add_argument("--segment-len", type=int, default=TAYLOR_SEGMENT_LEN,
-                       help="segment length in words for the count-variance law")
-        p.add_argument("--max-block", type=int, default=HILBERG_MAX_BLOCK,
-                       help="largest block size for the block-entropy law")
-        common_flags(p)
+        def add(*names, **kwargs):
+            action = flags.add_argument(*names, **kwargs)
+            actions[action.dest] = action
+        return flags, add
 
-    p_analyze = sub.add_parser("analyze", help="evaluate all eight laws on one corpus")
+    embeddings_help = "JSONL file of precomputed unit vectors (default: built-in hashed embedder)"
+
+    def law_flags(add):
+        add("--segment-len", type=int, default=TAYLOR_SEGMENT_LEN,
+            help="segment length in words for the count-variance law")
+        add("--max-block", type=int, default=HILBERG_MAX_BLOCK,
+            help="largest block size for the block-entropy law")
+        add("--embeddings", help=embeddings_help)
+
+    flags, add = flags_of("analyze")
+    add("--out", default="report.json", help="report path")
+    add("--series-csv", help="directory for per-law series and F_q(s) CSV dumps")
+    add("--detrend-order", type=int, choices=(1, 2, 3), default=1,
+        help="polynomial order for fluctuation detrending (1..3)")
+    law_flags(add)
+    p_analyze = sub.add_parser("analyze", parents=[flags], help="evaluate all eight laws on one corpus")
     p_analyze.add_argument("input", help="JSONL dataset")
-    p_analyze.add_argument("--out", default="report.json", help="report path")
-    p_analyze.add_argument("--series-csv", help="directory for per-law series and F_q(s) CSV dumps")
-    p_analyze.add_argument("--detrend-order", type=int, choices=(1, 2, 3), default=1,
-                           help="polynomial order for fluctuation detrending (1..3)")
-    law_flags(p_analyze)
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_compare = sub.add_parser("compare", help="side-by-side law grid for two corpora")
+    flags, add = flags_of("compare")
+    add("--out", default="comparison.json", help="report path")
+    add("--csv", help="also write the metric grid as CSV")
+    law_flags(add)
+    p_compare = sub.add_parser("compare", parents=[flags], help="side-by-side law grid for two corpora")
     p_compare.add_argument("corpus_a", help="first JSONL dataset")
     p_compare.add_argument("corpus_b", help="second JSONL dataset")
-    p_compare.add_argument("--out", default="comparison.json", help="report path")
-    p_compare.add_argument("--csv", help="also write the metric grid as CSV")
-    law_flags(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
-    p_augment = sub.add_parser("augment", help="generate, score, and select paraphrase instances")
+    flags, add = flags_of("augment")
+    add("--out", default="augmented.jsonl", help="output dataset path")
+    add("--scores", default="scores.json", help="per-instance score report path")
+    add("--transport", choices=("mock", "replay", "live"), default="mock")
+    add("--replay-file", help="recorded generations for --transport replay")
+    add("--record-file", help="record completions to this replay file")
+    add("--endpoint", help="chat-completion URL for --transport live")
+    add("--model", default=GenerationConfig.model)
+    add("--temperature", default=GenerationConfig.temperature)
+    add("--n", type=int, default=GenerationConfig.n_instances, help="instances per raw example")
+    add("--fraction", type=float, default=GenerationConfig.top_fraction,
+        help="fraction of instances kept, by descending suitability")
+    add("--prompt-template", default=GenerationConfig.prompt_template)
+    add("--max-in-flight", type=int, default=GenerationConfig.max_in_flight,
+        help="most concurrent live requests (mock and replay run in order)")
+    add("--seed", type=int, default=GenerationConfig.seed,
+        help="seed of the mock transport, recorded in the config hash")
+    add("--keep-partial", action="store_true", help="keep partial outputs when the transport fails")
+    add("--embeddings", help=embeddings_help)
+    p_augment = sub.add_parser("augment", parents=[flags],
+                               help="generate, score, and select paraphrase instances")
     p_augment.add_argument("input", help="JSONL dataset of raw examples")
-    p_augment.add_argument("--out", default="augmented.jsonl", help="output dataset path")
-    p_augment.add_argument("--scores", default="scores.json", help="per-instance score report path")
-    p_augment.add_argument("--transport", choices=("mock", "replay", "live"), default="mock")
-    p_augment.add_argument("--replay-file", help="recorded generations for --transport replay")
-    p_augment.add_argument("--record-file", help="record completions to this replay file")
-    p_augment.add_argument("--endpoint", help="chat-completion URL for --transport live")
-    p_augment.add_argument("--model", default="gpt-4")
-    p_augment.add_argument("--temperature", default="1.0")
-    p_augment.add_argument("--n", type=int, default=10, help="instances per raw example")
-    p_augment.add_argument("--fraction", type=float, default=0.5,
-                           help="fraction of instances kept, by descending suitability")
-    p_augment.add_argument("--prompt-template", default=DEFAULT_PROMPT)
-    p_augment.add_argument("--max-in-flight", type=int, default=4,
-                           help="most concurrent live requests (mock and replay run in order)")
-    p_augment.add_argument("--seed", type=int, default=0,
-                           help="seed of the mock transport, recorded in the config hash")
-    p_augment.add_argument("--keep-partial", action="store_true",
-                           help="keep partial outputs when the transport fails")
-    common_flags(p_augment)
     p_augment.set_defaults(func=cmd_augment)
-    subparsers.extend([p_analyze, p_compare, p_augment])
+    return parser, commands
 
-    if config_defaults:
-        # a key may name any subcommand's flag, so one file serves every command
-        flags = {a.dest for sp in subparsers for a in sp._actions if a.option_strings and a.dest != "help"}
-        unknown = sorted(set(config_defaults) - flags)
-        if unknown:
-            print(f"error: --config: {', '.join(map(repr, unknown))} names no flag"
-                  " (keys are flag names with dashes as underscores)", file=sys.stderr)
-            raise SystemExit(EXIT_INPUT)
-        # defaults must land on the subparsers: argparse resolves subcommand
-        # arguments against the subparser's own defaults, without checking
-        # them, so each value is converted and checked as its flag's would be
-        for sp in subparsers:
-            for action in (a for a in sp._actions if a.dest in config_defaults):
-                value = config_defaults[action.dest]
-                try:
-                    # an on/off flag takes JSON true or false, not a truthy string
-                    if action.nargs == 0 and not isinstance(value, bool):
-                        raise argparse.ArgumentError(action, f"expected true or false, got {value!r}")
-                    if action.type is not None:
-                        value = sp._get_value(action, str(value))
-                    sp._check_value(action, value)
-                except argparse.ArgumentError as exc:
-                    print(f"error: --config: {exc}", file=sys.stderr)
-                    raise SystemExit(EXIT_INPUT) from exc
-                sp.set_defaults(**{action.dest: value})
-    return parser
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+def _config_tokens(config: dict, flags: argparse.ArgumentParser, actions: dict) -> list[str]:
+    """The flag tokens of the keys of ``config`` that name one of ``actions``,
+    each checked by ``flags`` as on the command line; exits 1 on a bad value."""
+    tokens = []
+    try:
+        for action in (actions[key] for key in config if key in actions):
+            value, flag = config[action.dest], action.option_strings[0]
+            if action.nargs == 0:  # an on/off flag takes true or false, not a truthy string
+                if not isinstance(value, bool):
+                    raise argparse.ArgumentError(action, f"expected true or false, got {value!r}")
+                tokens += [flag] if value else []
+            elif isinstance(value, str):  # numbers are read as their text
+                tokens.append(f"{flag}={value}")  # a value may begin with "-"
+            else:
+                raise argparse.ArgumentError(action, f"expected a string or a number, got {value!r}")
+        flags.parse_args(tokens)
+    except argparse.ArgumentError as exc:
+        print(f"error: --config: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT) from exc
+    return tokens
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    # a config file provides defaults; explicit flags still win
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    config_defaults = None
-    if known.config:
-        try:
-            with open(known.config, encoding="utf-8") as fh:
-                config_defaults = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {known.config}: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_INPUT) from exc
-        if not isinstance(config_defaults, dict):
-            print(f"error: --config {known.config}: the top level must be a JSON object", file=sys.stderr)
-            raise SystemExit(EXIT_INPUT)
-    return build_parser(config_defaults).parse_args(argv)
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            config = json.load(fh, parse_int=str, parse_float=str, parse_constant=str)
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT) from exc
+    if not isinstance(config, dict):
+        print(f"error: --config {args.config}: the top level must be a JSON object", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+    # a key may name any command's flag, so one file serves every command;
+    # each command's values are checked, and the chosen one's are parsed
+    # ahead of its own flags, so an explicit flag still wins
+    unknown = sorted(set(config).difference(*(actions for _, actions in commands.values())))
+    if unknown:
+        print(f"error: --config: {', '.join(map(repr, unknown))} names no flag"
+              " (keys are flag names with dashes as underscores)", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+    tokens = {name: _config_tokens(config, *flags) for name, flags in commands.items()}
+    at = 0  # the command follows the top-level options, here only --config and its value
+    while argv[at].startswith("-"):
+        at += 1 if "=" in argv[at] else 2
+    return parser.parse_args([*argv[:at + 1], *tokens[args.command], *argv[at + 1:]])
 
 
 def main(argv=None) -> int:

@@ -250,6 +250,14 @@ class TestLiveTransport:
         assert done.stdout == "a paraphrase\n"
         assert len(loopback.requests) == 1
 
+    def test_non_ascii_path_and_query_percent_encoded_once(self, loopback):
+        endpoint = loopback.url.replace("/v1/chat/completions", "/vé?q=%C3%A9é")
+        transport = LiveTransport(endpoint)
+        loopback.replies = [200]
+        assert transport.complete("p", GenerationConfig()) == "a paraphrase"
+        assert [path for _, path, _, _ in loopback.requests] == ["/v%C3%A9?q=%C3%A9%C3%A9"]
+        assert transport.transport_id == f"live:{endpoint}"
+
     @pytest.mark.parametrize("endpoint", ["localhost:9/v1", "ftp://localhost/v1", "http:///v1", ""])
     def test_endpoint_needs_http_scheme_and_host(self, endpoint):
         with pytest.raises(ValueError, match="is not an http\\(s\\) URL with a host"):

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import os
+import re
 
 import pytest
 
 from zgptda import augment
 from zgptda.augment import (SCHEMA_VERSION, GenerationConfig, MockTransport, ReplayTransport, request_hash,
                             request_payload, run_augmentation)
-from zgptda.cli import _parse_args, _run_entry, main
+from zgptda.cli import _parse_args, _run_entry, build_parser, main
 from zgptda.corpus import Document, load_jsonl, tokenize
 from zgptda.zscore import describe_rulebase
 from tests.conftest import make_raw_dataset
@@ -706,3 +707,102 @@ class TestConfigFile:
         args = _parse_args(["--config", str(cfg), "analyze", "x.jsonl"])
         assert args.segment_len == 50 and not hasattr(args, "n")
         assert _parse_args(["--config", str(cfg), "augment", "x.jsonl"]).keep_partial is True
+
+
+# per command: its positional arguments, and a value other than the default
+# for each of its flags, by config key
+CONFIG_SAMPLES = {
+    "analyze": (["x.jsonl"], {"out": "o.json", "series_csv": "series", "detrend_order": 2,
+                              "segment_len": 50, "max_block": 4, "embeddings": "e.jsonl"}),
+    "compare": (["a.jsonl", "b.jsonl"], {"out": "o.json", "csv": "g.csv", "segment_len": 50,
+                                         "max_block": 4, "embeddings": "e.jsonl"}),
+    "augment": (["x.jsonl"], {"out": "o.jsonl", "scores": "s.json", "transport": "replay",
+                              "replay_file": "r.jsonl", "record_file": "rec.jsonl",
+                              "endpoint": "http://127.0.0.1:9/v1", "model": 5, "temperature": 0.5,
+                              "n": 3, "fraction": 0.25, "prompt_template": "In {n}: {text}",
+                              "max_in_flight": 2, "seed": 7, "keep_partial": True,
+                              "embeddings": "e.jsonl"}),
+}
+
+
+class TestConfigTokens:
+    """A config value is parsed as its flag's token on the command line."""
+
+    @pytest.mark.parametrize("command", list(CONFIG_SAMPLES))
+    def test_samples_name_every_flag(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        listed = re.findall(r"(?<![\w-])--([a-z][a-z-]*)", capsys.readouterr().out)
+        assert {flag.replace("-", "_") for flag in listed} - {"help"} == set(CONFIG_SAMPLES[command][1])
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command, (_, samples) in CONFIG_SAMPLES.items() for key in samples])
+    def test_config_value_parses_as_the_flag_on_the_command_line(self, command, key, tmp_path):
+        positionals, samples = CONFIG_SAMPLES[command]
+        value = samples[key]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+        flag = "--" + key.replace("_", "-")
+        given = [flag] if value is True else [flag, value if isinstance(value, str) else json.dumps(value)]
+        from_config = vars(_parse_args(["--config", str(cfg), command, *positionals]))
+        from_flag = vars(_parse_args([command, *positionals, *given]))
+        assert from_flag[key] != getattr(_parse_args([command, *positionals]), key)
+        assert (from_config.pop("config"), from_flag.pop("config")) == (str(cfg), None)
+        assert from_config == from_flag
+
+    def test_same_config_sha256_as_the_command_line(self, dataset, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"temperature": 0.5}), encoding="utf-8")
+        digests = []
+        for given in (["--config", cfg, "augment"], ["augment", "--temperature", "0.5"]):
+            scores = tmp_path / "s.json"
+            assert run([*given, dataset, "--n", "2", "--out", tmp_path / "a.jsonl", "--scores", scores]) == 0
+            digests.append({r["config_sha256"] for r in json.loads(scores.read_text())["runs"]})
+        assert digests[0] == digests[1] and len(digests[0]) == 1
+
+    def test_explicit_on_off_flag_wins_over_false(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"keep_partial": False}), encoding="utf-8")
+        assert _parse_args(["--config", str(cfg), "augment", "x.jsonl"]).keep_partial is False
+        assert _parse_args(["--config", str(cfg), "augment", "x.jsonl", "--keep-partial"]).keep_partial is True
+
+    def test_value_beginning_with_a_dash_kept(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prompt_template": "-{n} {text}", "seed": -3}), encoding="utf-8")
+        args = _parse_args(["--config", str(cfg), "augment", "x.jsonl"])
+        assert (args.prompt_template, args.seed) == ("-{n} {text}", -3)
+
+    @pytest.mark.parametrize("config, command, flag", [
+        ({"model": ["x"]}, "augment", "--model"),
+        ({"endpoint": {}}, "augment", "--endpoint"),
+        ({"segment_len": None}, "analyze", "--segment-len"),
+        ({"n": "abc"}, "analyze", "--n"),  # another command's flag is checked too
+        ({"keep_partial": True, "detrend_order": 5}, "augment", "--detrend-order"),
+    ])
+    def test_bad_value_one_line_naming_config_and_flag(self, config, command, flag, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "o.json"
+        assert run(["--config", cfg, command, tmp_path / "nope.jsonl", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --config: argument {flag}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", [["--config", "analyze"], ["--config=analyze"], ["--conf", "analyze"]])
+    def test_config_named_like_a_command(self, given, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "analyze").write_text(json.dumps({"segment_len": 50}), encoding="utf-8")
+        args = _parse_args([*given, "analyze", "x.jsonl"])
+        assert (args.command, args.input, args.segment_len) == ("analyze", "x.jsonl", 50)
+
+    def test_config_not_utf8_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert run(["--config", cfg, "analyze", tmp_path / "nope.jsonl"]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {cfg}: ")
+
+
+def test_augment_defaults_are_generation_config_defaults():
+    args = build_parser().parse_args(["augment", "x.jsonl"])
+    assert GenerationConfig(n_instances=args.n, prompt_template=args.prompt_template, top_fraction=args.fraction,
+                            model=args.model, temperature=args.temperature, seed=args.seed,
+                            max_in_flight=args.max_in_flight) == GenerationConfig()
